@@ -1,17 +1,25 @@
 """Row-action iterations.
 
-Two variants share one run loop:
+Two run loops, one per row type:
 
-* phaseless rows b = |a^* x|: each step keeps the phase of the current
-  residual a^* z and projects onto the hyperplane where the chosen
+* phaseless rows b = |a^* x| (run_pr): each step keeps the phase of the
+  current residual a^* z and projects onto the hyperplane where the chosen
   magnitude equation holds,
       z <- z - (1 - b / |a^* z|) * (a^* z / ||a||^2) * a;
-* linear rows y = a^* x: the classical orthogonal projection
+* linear rows y = a^* x (run_linear): the classical orthogonal projection
       z <- z + ((y - a^* z) / ||a||^2) * a.
 
+Both loops hand every iterate to one recorder.  It copies the iterate into
+a buffer of a few hundred rows; when the buffer fills, and once at the end,
+one vectorized pass computes the distance of every buffered iterate to the
+truth (the circle distance for run_pr, the plain error for run_linear) and
+checks that the steps taken so far stayed finite.  Per-step distance calls
+would cost more than the step itself at n = 128.
+
 Runs never halt early when the iterate leaves the trust ball; the first exit
-step is recorded as the trace's stopping time and iteration continues, so a
-single trace supports both the stopped and unstopped views of the process.
+step, read off the finished distance array, is recorded as the trace's
+stopping time, so a single trace supports both the stopped and unstopped
+views of the process.
 """
 
 from __future__ import annotations
@@ -20,10 +28,11 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
-from .geometry import _dist_fast, as_cvector
+from .geometry import _dist_rows, _row_norms, as_cvector
 from .rng import GENERATOR_ID, RngStream
 from .sampling import Ensemble, Measurements
 
@@ -98,6 +107,8 @@ class SolverTrace:
         doc = {
             "generator": GENERATOR_ID,
             "stopping_time": self.stopping_time,
+            "zero_residual_steps": int(np.count_nonzero(self.abs_az == 0.0)),
+            "min_abs_az": float(self.abs_az.min()) if self.abs_az.size else None,
         }
         doc.update(self.meta)
         return doc
@@ -216,6 +227,104 @@ def _trace_meta(ensemble: Ensemble, rng: RngStream, config: SolverConfig) -> dic
     }
 
 
+# Budget of the iterate buffer between distance passes: 256 rows at n = 128.
+_TRACK_BUFFER_BYTES = 1 << 19
+
+
+def _plain_error_rows(zs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """||zs[i] - x|| for every row: run_linear's error, with no phase to fit."""
+    return _row_norms(zs - x)
+
+
+class _RunRecorder:
+    """abs_az, the distance track and the non-finite guard of one run.
+
+    The loop writes abs_az[k] during step k and pushes each new iterate; the
+    start z0 is pushed here.  A full buffer of iterates, and finish(),
+    trigger one vectorized distance pass over the buffered rows and a check
+    of the abs_az written since the last check.  Untracked runs buffer
+    nothing and are checked once, at the end.
+    """
+
+    def __init__(self, z0: np.ndarray, idx: np.ndarray, x, config: SolverConfig, dist_rows):
+        k_max = idx.shape[0]
+        self.idx = idx
+        self.abs_az = np.empty(k_max)
+        self.dist = None
+        self._x = x
+        self._dist_rows = dist_rows
+        self._filled = 0  # iterates waiting in the buffer
+        self._done = 0  # iterates whose distance is recorded
+        self._checked = 0  # abs_az entries checked to be finite
+        if config.track_distance:
+            n = z0.shape[0]
+            self._radius = config.ball_radius_rel * float(np.linalg.norm(x))
+            self.dist = np.empty(k_max + 1)
+            rows = max(1, _TRACK_BUFFER_BYTES // (16 * n))
+            self._buf = np.empty((min(rows, k_max + 1), n), dtype=np.complex128)
+            self.push(z0)
+
+    def push(self, z: np.ndarray) -> None:
+        self._buf[self._filled] = z
+        self._filled += 1
+        if self._filled == self._buf.shape[0]:
+            self._flush()
+
+    def _flush(self) -> None:
+        newest = self._done + self._filled - 1
+        self._check(newest)
+        self.dist[self._done : newest + 1] = self._dist_rows(self._buf[: self._filled], self._x)
+        self._done = newest + 1
+        self._filled = 0
+
+    def _check(self, stop: int) -> None:
+        """Raise on the first non-finite abs_az[k], k < stop: iterate k blew up."""
+        bad = np.flatnonzero(~np.isfinite(self.abs_az[self._checked : stop]))
+        if bad.size:
+            self._fail(self._checked + int(bad[0]))
+        self._checked = stop
+
+    def _fail(self, k: int) -> NoReturn:
+        source = f", produced by row {self.idx[k - 1]}" if k else ""
+        raise ValueError(f"non-finite iterate at step {k}{source}")
+
+    def finish(self, z: np.ndarray, meta: dict) -> SolverTrace:
+        """Check and record what is left, then build the trace with final iterate z."""
+        k_max = self.abs_az.shape[0]
+        self._check(k_max)
+        if not np.all(np.isfinite(z)):
+            self._fail(k_max)
+        stopping_time = None
+        if self.dist is not None:
+            if self._filled:
+                self._flush()
+            exits = np.flatnonzero(self.dist > self._radius)
+            stopping_time = int(exits[0]) if exits.size else None
+        return SolverTrace(
+            rows=self.idx.astype(np.int64),
+            abs_az=self.abs_az,
+            dist=self.dist,
+            stopping_time=stopping_time,
+            final=z,
+            meta=meta,
+        )
+
+
+def _start(ensemble: Ensemble, z0, config: SolverConfig, truth):
+    """Validated copy of z0 and validated truth (None when absent)."""
+    z = as_cvector(z0, "z0").copy()
+    if z.shape[0] != ensemble.n:
+        raise ValueError("z0 dimension does not match ensemble")
+    if truth is None:
+        if config.track_distance:
+            raise ValueError("track_distance requires a ground-truth vector")
+        return z, None
+    x = as_cvector(truth, "truth")
+    if x.shape[0] != ensemble.n:
+        raise ValueError("truth dimension does not match ensemble")
+    return z, x
+
+
 def run_pr(
     ensemble: Ensemble,
     b: Measurements,
@@ -228,41 +337,24 @@ def run_pr(
 
     With `truth` supplied the trace records dist(z_k, truth) for every
     iterate and the stopping time for the ball of relative radius
-    config.ball_radius_rel around the solution circle.
+    config.ball_radius_rel around the solution circle.  Raises ValueError
+    naming the step and row when an iterate becomes non-finite.
     """
-    z = as_cvector(z0, "z0").copy()
     if b.m != ensemble.m:
         raise ValueError("measurement count does not match ensemble")
-    if z.shape[0] != ensemble.n:
-        raise ValueError("z0 dimension does not match ensemble")
-    if config.track_distance and truth is None:
-        raise ValueError("track_distance requires a ground-truth vector")
-    x = as_cvector(truth, "truth") if truth is not None else None
-    if x is not None and x.shape[0] != ensemble.n:
-        raise ValueError("truth dimension does not match ensemble")
+    z, x = _start(ensemble, z0, config, truth)
 
-    k_max = config.max_iters
-    idx = select_rows(ensemble, rng, k_max, config.selection)
+    idx = select_rows(ensemble, rng, config.max_iters, config.selection)
     rows = ensemble.rows
     norms_sq = ensemble.row_norms_sq
     rows_conj = rows.conj()
     bvals = b.values
     skip = config.zero_residual_policy is ZeroResidualPolicy.SKIP
 
-    track = x is not None and config.track_distance
-    dist_arr = np.empty(k_max + 1) if track else None
-    abs_az = np.empty(k_max)
-    radius = None
-    stopping_time: int | None = None
-    if x is not None:
-        radius = config.ball_radius_rel * float(np.linalg.norm(x))
-
-    for k in range(k_max):
-        if track:
-            d = _dist_fast(z, x)
-            dist_arr[k] = d
-            if stopping_time is None and d > radius:
-                stopping_time = k
+    record = _RunRecorder(z, idx, x, config, _dist_rows)
+    abs_az = record.abs_az
+    track = config.track_distance
+    for k in range(config.max_iters):
         j = idx[k]
         s = rows_conj[j] @ z
         mag = abs(s)
@@ -272,20 +364,9 @@ def run_pr(
                 z = z + (bvals[j] / norms_sq[j]) * rows[j]
         else:
             z = z - ((1.0 - bvals[j] / mag) * s / norms_sq[j]) * rows[j]
-    if track:
-        d = _dist_fast(z, x)
-        dist_arr[k_max] = d
-        if stopping_time is None and d > radius:
-            stopping_time = k_max
-
-    return SolverTrace(
-        rows=idx.astype(np.int64),
-        abs_az=abs_az,
-        dist=dist_arr,
-        stopping_time=stopping_time,
-        final=z,
-        meta=_trace_meta(ensemble, rng, config),
-    )
+        if track:
+            record.push(z)
+    return record.finish(z, _trace_meta(ensemble, rng, config))
 
 
 def run_linear(
@@ -298,51 +379,27 @@ def run_linear(
 ) -> SolverTrace:
     """Classical row-projection baseline on a linear system a_j^* z = y_j.
 
-    The trace's dist column holds the plain error ||z_k - truth||.
+    The trace's dist column holds the plain error ||z_k - truth||.  Raises
+    ValueError naming the step and row when an iterate becomes non-finite.
     """
-    z = as_cvector(z0, "z0").copy()
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 1 or y.shape[0] != ensemble.m:
         raise ValueError("right-hand side must have one entry per row")
-    if z.shape[0] != ensemble.n:
-        raise ValueError("z0 dimension does not match ensemble")
-    if config.track_distance and truth is None:
-        raise ValueError("track_distance requires a ground-truth vector")
-    x = as_cvector(truth, "truth") if truth is not None else None
+    z, x = _start(ensemble, z0, config, truth)
 
-    k_max = config.max_iters
-    idx = select_rows(ensemble, rng, k_max, config.selection)
+    idx = select_rows(ensemble, rng, config.max_iters, config.selection)
     rows = ensemble.rows
     rows_conj = rows.conj()
     norms_sq = ensemble.row_norms_sq
 
-    track = x is not None and config.track_distance
-    dist_arr = np.empty(k_max + 1) if track else None
-    abs_az = np.empty(k_max)
-    radius = config.ball_radius_rel * float(np.linalg.norm(x)) if x is not None else None
-    stopping_time: int | None = None
-
-    for k in range(k_max):
-        if track:
-            d = float(np.linalg.norm(z - x))
-            dist_arr[k] = d
-            if stopping_time is None and d > radius:
-                stopping_time = k
+    record = _RunRecorder(z, idx, x, config, _plain_error_rows)
+    abs_az = record.abs_az
+    track = config.track_distance
+    for k in range(config.max_iters):
         j = idx[k]
         s = rows_conj[j] @ z
         abs_az[k] = abs(s)
         z = z + ((y[j] - s) / norms_sq[j]) * rows[j]
-    if track:
-        d = float(np.linalg.norm(z - x))
-        dist_arr[k_max] = d
-        if stopping_time is None and d > radius:
-            stopping_time = k_max
-
-    return SolverTrace(
-        rows=idx.astype(np.int64),
-        abs_az=abs_az,
-        dist=dist_arr,
-        stopping_time=stopping_time,
-        final=z,
-        meta=_trace_meta(ensemble, rng, config),
-    )
+        if track:
+            record.push(z)
+    return record.finish(z, _trace_meta(ensemble, rng, config))

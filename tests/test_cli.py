@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -260,3 +261,16 @@ def test_experiment_config_validation():
             command="solve", n=8, m=8, model="sphere", trials=1, max_iters=1,
             init="warm", planted_radius=0.005, delta=0.5, seed=0, out_dir="x",
         )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_reports_non_finite_iterate(tmp_path, monkeypatch, capsys):
+    import kaczpr.cli as cli
+    from kaczpr import Measurements
+
+    monkeypatch.setattr(cli, "measure", lambda e, x: Measurements(values=np.full(e.m, 1e308)))
+    rc = run_cli(["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "100",
+                  "--serial", "--out", str(tmp_path / "blowup")])
+    assert rc == 2
+    assert re.search(r"kaczpr: non-finite iterate at step \d+, produced by row \d+",
+                     capsys.readouterr().err)

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kaczpr import (
+    Measurements,
     Model,
     RngStream,
     Selection,
@@ -21,6 +22,7 @@ from kaczpr import (
     select_row,
     select_rows,
 )
+from kaczpr import kaczmarz
 from conftest import unit_signal
 
 GOLDEN_ROWS_9_1 = [0, 7, 1, 4, 2, 6, 0, 2, 4, 5, 7, 3]
@@ -341,3 +343,145 @@ def test_run_pr_mean_contraction_across_trials():
     stats = contraction_stats(traces)
     mask = stats.mean_dist_sq[:-1] > 1e-24
     assert np.all(stats.ratios[mask] <= 1.0 - 0.03 / n)
+
+
+def _planted_problem(n, m, seed):
+    e = make_ensemble(m, n, Model.UNIT_SPHERE, RngStream(seed, 0))
+    x = unit_signal(n, RngStream(seed, 1))
+    return e, x, planted_init(x, 0.005, RngStream(seed, 2))
+
+
+def _buffer_rows(n):
+    return kaczmarz._TRACK_BUFFER_BYTES // (16 * n)
+
+
+def test_tracked_distance_matches_truncated_runs_across_buffer_boundaries():
+    n, m = 128, 1024
+    e, x, z0 = _planted_problem(n, m, 60)
+    b = measure(e, x)
+    y = e.rows.conj() @ x
+    B = _buffer_rows(n)
+    k_max = 2 * B + 37
+    pr = run_pr(e, b, z0, SolverConfig(max_iters=k_max), RngStream(61, 0), truth=x)
+    lin = run_linear(e, y, z0, SolverConfig(max_iters=k_max), RngStream(61, 0), truth=x)
+    tol = 1e-12 * np.linalg.norm(x)
+    for k in (0, B - 1, B, B + 1, k_max):
+        cfg = SolverConfig(max_iters=k, track_distance=False)
+        short = run_pr(e, b, z0, cfg, RngStream(61, 0))
+        np.testing.assert_array_equal(short.rows, pr.rows[:k])
+        assert abs(pr.dist[k] - dist(short.final, x)) <= tol
+        short = run_linear(e, y, z0, cfg, RngStream(61, 0))
+        assert abs(lin.dist[k] - np.linalg.norm(short.final - x)) <= tol
+
+
+def test_tracking_never_perturbs_the_iteration():
+    e, x, z0 = _planted_problem(16, 128, 62)
+    b = measure(e, x)
+    y = e.rows.conj() @ x
+    for solver, rhs in ((run_pr, b), (run_linear, y)):
+        on = solver(e, rhs, z0, SolverConfig(max_iters=700), RngStream(63, 0), truth=x)
+        off = solver(e, rhs, z0, SolverConfig(max_iters=700, track_distance=False),
+                     RngStream(63, 0), truth=x)
+        assert off.dist is None and off.stopping_time is None
+        np.testing.assert_array_equal(on.rows, off.rows)
+        np.testing.assert_array_equal(on.abs_az, off.abs_az)
+        np.testing.assert_array_equal(on.final, off.final)
+
+
+def _exit_case():
+    # far from the circle the distance can set a new running maximum (here at
+    # k = 13); a radius between the old maximum and the new one makes that
+    # step the first exit
+    n, m = 8, 64
+    e = make_ensemble(m, n, Model.UNIT_SPHERE, RngStream(69, 0))
+    x = 4.0 * unit_signal(n, RngStream(69, 1))
+    b = measure(e, x)
+    z0 = x + 2.0 * unit_signal(n, RngStream(69, 2))
+    d = run_pr(e, b, z0, SolverConfig(max_iters=60), RngStream(70, 0), truth=x).dist
+    records = [k for k in range(3, d.size) if d[k] > d[:k].max()]
+    assert records, "no running maximum to exit at"
+    k_star = records[0]
+    radius = 0.5 * (d[:k_star].max() + d[k_star])
+    return e, b, z0, x, k_star, radius / np.linalg.norm(x)
+
+
+def test_stopping_time_is_first_exit_on_buffer_boundaries_and_at_k_max(monkeypatch):
+    e, b, z0, x, k_star, rel = _exit_case()
+    cases = [(60, k_star), (60, k_star + 1), (k_star, 4), (60, 10**6)]
+    for max_iters, rows in cases:  # k_star first in a buffer, last in one, at k_max
+        monkeypatch.setattr(kaczmarz, "_TRACK_BUFFER_BYTES", 16 * e.n * rows)
+        trace = run_pr(e, b, z0, SolverConfig(max_iters=max_iters, ball_radius_rel=rel),
+                       RngStream(70, 0), truth=x)
+        radius = rel * np.linalg.norm(x)
+        assert trace.stopping_time == int(np.flatnonzero(trace.dist > radius)[0]) == k_star
+
+
+def test_zero_iterations_track_only_the_start():
+    e, x, z0 = _planted_problem(8, 64, 66)
+    b = measure(e, x)
+    for solver, rhs, ref in ((run_pr, b, dist(z0, x)),
+                             (run_linear, e.rows.conj() @ x, np.linalg.norm(z0 - x))):
+        trace = solver(e, rhs, z0, SolverConfig(max_iters=0), RngStream(67, 0), truth=x)
+        assert trace.dist.shape == (1,)
+        assert trace.dist[0] == pytest.approx(ref, rel=1e-12)
+        assert trace.abs_az.shape == (0,)
+        assert trace.sidecar()["min_abs_az"] is None
+
+
+def test_tracked_distance_bytes_do_not_depend_on_buffer_length(monkeypatch):
+    e, x, z0 = _planted_problem(32, 256, 68)
+    b = measure(e, x)
+    y = e.rows.conj() @ x
+    cfg = SolverConfig(max_iters=900)
+    default = [run_pr(e, b, z0, cfg, RngStream(69, 0), truth=x).dist,
+               run_linear(e, y, z0, cfg, RngStream(69, 0), truth=x).dist]
+    monkeypatch.setattr(kaczmarz, "_TRACK_BUFFER_BYTES", 1)
+    single = [run_pr(e, b, z0, cfg, RngStream(69, 0), truth=x).dist,
+              run_linear(e, y, z0, cfg, RngStream(69, 0), truth=x).dist]
+    assert _buffer_rows(32) < cfg.max_iters
+    for a, c in zip(default, single):
+        assert a.tobytes() == c.tobytes()
+
+
+def test_run_linear_rejects_mismatched_truth():
+    e = make_ensemble(16, 8, Model.UNIT_SPHERE, RngStream(70, 0))
+    y = e.rows.conj() @ unit_signal(8, RngStream(70, 1))
+    for truth in (np.ones(1, complex), np.ones(9, complex)):
+        with pytest.raises(ValueError, match="truth dimension does not match ensemble"):
+            run_linear(e, y, np.zeros(8, complex), SolverConfig(max_iters=5),
+                       RngStream(71, 0), truth=truth)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("track", [True, False])
+def test_runs_raise_on_non_finite_iterate_naming_step_and_row(monkeypatch, track):
+    monkeypatch.setattr(kaczmarz, "_TRACK_BUFFER_BYTES", 16 * 8 * 5)  # several flushes
+    e = make_ensemble(64, 8, Model.UNIT_SPHERE, RngStream(72, 0))
+    x = unit_signal(8, RngStream(72, 1))
+    cases = ((run_linear, np.full(64, 1e308 + 0j), np.zeros(8, complex)),
+             (run_pr, Measurements(values=np.full(64, 1e308)), unit_signal(8, RngStream(72, 2))))
+    for solver, rhs, z0 in cases:
+        cfg = SolverConfig(max_iters=200, track_distance=track)
+        with pytest.raises(ValueError, match=r"non-finite iterate at step \d+") as err:
+            solver(e, rhs, z0, cfg, RngStream(73, 0), truth=x)
+        k = int(err.value.args[0].split("step ")[1].split(",")[0])
+        idx = select_rows(e, RngStream(73, 0), 200)
+        assert 1 <= k <= 200
+        assert err.value.args[0].endswith(f"produced by row {idx[k - 1]}")
+        # every step before k stayed finite
+        solver(e, rhs, z0, SolverConfig(max_iters=k - 1, track_distance=track),
+               RngStream(73, 0), truth=x)
+
+
+def test_sidecar_counts_zero_residual_steps_and_smallest_abs_az():
+    from kaczpr import SolverTrace
+
+    trace = SolverTrace(rows=np.array([3, 1, 4, 1, 5]), abs_az=np.array([0.5, 0.0, 0.25, 0.0, 2.0]),
+                        dist=None, stopping_time=None, final=np.zeros(2, complex))
+    doc = trace.sidecar()
+    assert doc["zero_residual_steps"] == 2
+    assert doc["min_abs_az"] == 0.0
+    trace.abs_az = np.array([0.75, 0.125, 3.0])
+    doc = trace.sidecar()
+    assert doc["zero_residual_steps"] == 0
+    assert doc["min_abs_az"] == 0.125

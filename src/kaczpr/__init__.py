@@ -2,8 +2,6 @@
 plus Monte Carlo and quadrature checks of its convergence ingredients."""
 
 from .analysis import (
-    ContractionStats,
-    RscSample,
     contraction_stats,
     directional_derivative,
     expected_step,
@@ -12,13 +10,11 @@ from .analysis import (
     margin_row_terms,
     rsc_margin,
 )
-from .geometry import Alignment, align, aligned_error, dist, optimal_phase
+from .geometry import align, aligned_error, dist, optimal_phase
 from .initializers import (
     InitConfig,
     NormModel,
-    PowerIterationResult,
     planted_init,
-    power_iteration,
     real_overlap_direction,
     spectral_init,
 )
@@ -62,7 +58,6 @@ from .verify import (
     mc_F,
     mc_G,
     series_F,
-    spectral_norm,
 )
 
 __version__ = "0.1.0"

@@ -60,6 +60,7 @@ TAG_SCAN = 5
 
 FLOOR_DIST_SQ = 1e-24
 RATE_MARGIN = 0.03  # certified per-step decrement is RATE_MARGIN / n
+MIN_SCALE, MAX_SCALE = 1e-150, 1e150
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,9 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
+        # squared distances up to (2 * scale)^2 must stay representable
+        if not MIN_SCALE <= self.scale <= MAX_SCALE:
+            raise ValueError(f"--scale must be finite and lie in [{MIN_SCALE:g}, {MAX_SCALE:g}]")
         if self.command in ("solve",) and self.init == "planted":
             if self.planted_radius > 0.01 * self.delta + 1e-15 and not self.allow_radius_override:
                 raise ValueError(

@@ -65,10 +65,6 @@ def dist(z, x) -> float:
     z = as_cvector(z, "z")
     x = as_cvector(x, "x")
     _check_same_dim(z, x)
-    return _dist_fast(z, x)
-
-
-def _dist_fast(z: np.ndarray, x: np.ndarray) -> float:
     overlap = np.vdot(x, z)
     mag = abs(overlap)
     if mag == 0.0:

@@ -1,21 +1,20 @@
 """Initial estimates for the phaseless solver.
 
 The spectral initializer takes the top eigenvector of the magnitude-weighted
-row covariance Y = (1/m) sum_j b_j^2 a_j a_j^*, found by matrix-free power
-iteration, then rescales it to the estimated signal norm.  The planted
+row covariance Y = (1/m) sum_j b_j^2 a_j a_j^*, found by a dense Hermitian
+eigensolver, then rescales it to the estimated signal norm.  The planted
 initializer places a start point at an exact relative distance from a known
 signal, which is what rate experiments need.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .geometry import _dist_fast, as_cvector
+from .geometry import as_cvector
 from .rng import RngStream, complex_standard_normal
 from .sampling import Ensemble, Measurements, Model
 
@@ -33,72 +32,16 @@ class NormModel(Enum):
 
 @dataclass(frozen=True)
 class InitConfig:
-    power_iters: int = 200
-    tol: float = 1e-8
     norm_estimate: NormModel = NormModel.SPHERE
-
-    def __post_init__(self):
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be at least 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-
-
-@dataclass
-class PowerIterationResult:
-    vector: np.ndarray
-    eigenvalue: float
-    converged: bool
-    iterations: int
-    rayleigh_history: np.ndarray
-
-
-def power_iteration(matvec, n: int, gen: np.random.Generator, iters: int = 200, tol: float = 1e-8) -> PowerIterationResult:
-    """Top eigenpair of a Hermitian PSD operator given only v -> Av.
-
-    Convergence is declared when successive unit iterates agree up to a
-    global phase within tol.
-    """
-    v = complex_standard_normal(n, gen)
-    nv = np.linalg.norm(v)
-    while nv == 0.0:
-        v = complex_standard_normal(n, gen)
-        nv = np.linalg.norm(v)
-    v = v / nv
-    history = []
-    converged = False
-    done = 0
-    for k in range(iters):
-        w = matvec(v)
-        history.append(float(np.vdot(v, w).real))
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            # v is in the kernel; any vector is optimal for a zero operator
-            converged = True
-            done = k + 1
-            break
-        w = w / norm_w
-        increment = _dist_fast(w, v)
-        v = w
-        done = k + 1
-        if increment <= tol:
-            converged = True
-            break
-    eigenvalue = float(np.vdot(v, matvec(v)).real)
-    return PowerIterationResult(
-        vector=v,
-        eigenvalue=eigenvalue,
-        converged=converged,
-        iterations=done,
-        rayleigh_history=np.asarray(history),
-    )
 
 
 def spectral_init(ensemble: Ensemble, b: Measurements, config: InitConfig, rng: RngStream) -> np.ndarray:
     """Spectral estimate of the signal from magnitudes alone.
 
-    The weighted covariance is never materialized; each power step costs one
-    O(m n) pass over the rows.
+    Y is formed as a dense n x n matrix and its top eigenvector comes from a
+    dense Hermitian eigensolver: no iteration, tolerance or convergence test.
+    Nothing is drawn from rng, so the start point does not depend on the
+    stream passed in.
     """
     if b.m != ensemble.m:
         raise ValueError("measurement count does not match ensemble")
@@ -106,25 +49,14 @@ def spectral_init(ensemble: Ensemble, b: Measurements, config: InitConfig, rng: 
     if not np.any(weights > 0):
         raise ValueError("all measurements are zero; spectral direction is undefined")
     rows = ensemble.rows
-    rows_conj = rows.conj()
-    m = ensemble.m
-
-    def matvec(v):
-        return rows.T @ (weights * (rows_conj @ v)) / m
-
-    result = power_iteration(matvec, ensemble.n, rng.generator(), config.power_iters, config.tol)
-    if not result.converged:
-        warnings.warn(
-            f"power iteration did not reach tol={config.tol} in {config.power_iters} steps; "
-            "returning the last iterate",
-            RuntimeWarning,
-        )
-    mean_b2 = float(np.mean(b.values**2))
+    covariance = (rows.T * weights) @ rows.conj() / ensemble.m
+    direction = np.linalg.eigh(covariance)[1][:, -1]
+    mean_b2 = float(np.mean(weights))
     if config.norm_estimate is NormModel.SPHERE:
         scale = np.sqrt(ensemble.n * mean_b2)
     else:
         scale = np.sqrt(mean_b2)
-    return scale * result.vector
+    return scale * direction
 
 
 def default_norm_model(model: Model) -> NormModel:
@@ -137,6 +69,9 @@ def real_overlap_direction(x, gen: np.random.Generator) -> np.ndarray:
     xnorm_sq = float(np.vdot(x, x).real)
     if xnorm_sq == 0.0:
         raise ValueError("x must be nonzero")
+    if not np.isfinite(xnorm_sq):
+        # the projection below would turn every draw into NaN and never return
+        raise ValueError("x is too large: its squared norm overflows")
     while True:
         u = complex_standard_normal(x.shape[0], gen)
         u = u - (1j * np.vdot(x, u).imag / xnorm_sq) * x

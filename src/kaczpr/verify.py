@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from .initializers import power_iteration, real_overlap_direction
+from .initializers import real_overlap_direction
 from .rng import RngStream, complex_standard_normal
 from .sampling import Model, make_ensemble
 
@@ -265,27 +265,16 @@ def series_F(params: LemmaParams, k_max: int = 250, quad_points: int = 400) -> f
     return total
 
 
-def spectral_norm(matrix: np.ndarray, iters: int = 500, tol: float = 1e-10, gen=None) -> float:
-    """Spectral norm of a Hermitian matrix by power iteration on its square."""
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if gen is None:
-        gen = RngStream(0x5EED, 0).generator()
-
-    def matvec(v):
-        return matrix @ (matrix @ v)
-
-    result = power_iteration(matvec, matrix.shape[0], gen, iters=iters, tol=tol)
-    return math.sqrt(max(0.0, result.eigenvalue))
-
-
 def covariance_deviation(rows: np.ndarray) -> float:
-    """|| (1/m) sum_j a_j a_j^* - I/n ||_2 for unit-sphere rows."""
+    """|| (1/m) sum_j a_j a_j^* - I/n ||_2 for unit-sphere rows.
+
+    The deviation is Hermitian, so its spectral norm is its largest
+    eigenvalue in magnitude.
+    """
     rows = np.asarray(rows, dtype=np.complex128)
     m, n = rows.shape
     second_moment = rows.T @ rows.conj() / m
-    return spectral_norm(second_moment - np.eye(n) / n)
+    return float(np.max(np.abs(np.linalg.eigvalsh(second_moment - np.eye(n) / n))))
 
 
 def check_covariance(

@@ -274,3 +274,25 @@ def test_solve_reports_non_finite_iterate(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert re.search(r"kaczpr: non-finite iterate at step \d+, produced by row \d+",
                      capsys.readouterr().err)
+
+
+_SCALE_RUN = ["--n", "8", "--m", "64", "--trials", "1", "--max-iters", "200", "--serial"]
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+@pytest.mark.parametrize("scale", ["1e300", "1e308", "nan", "0", "-1"])
+def test_scale_out_of_range_is_rejected(tmp_path, capsys, command, scale):
+    rc = run_cli([command, *_SCALE_RUN, f"--scale={scale}", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "--scale" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "baseline"])
+def test_large_scale_keeps_distances_finite(tmp_path, command):
+    out = tmp_path / "out"
+    assert run_cli([command, *_SCALE_RUN, "--scale", "1e100", "--out", str(out)]) == 0
+    rows = np.genfromtxt(out / "trace_0000.csv", delimiter=",", names=True)
+    assert np.all(np.isfinite(rows["dist"]))
+    # final_mean_dist2 covers surviving trials only; a zero-init baseline has none
+    assert read_json(out / "summary.json")["final_median_dist"] is not None

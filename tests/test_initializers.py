@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,41 +12,57 @@ from kaczpr import (
     make_ensemble,
     measure,
     planted_init,
-    power_iteration,
     spectral_init,
 )
 from conftest import unit_signal
 
 
-def test_power_iteration_population_matrix_oracle():
-    # rank-one shift: top eigenvector of ||x||^2 I + x x^* is x up to phase
-    n = 8
-    x = unit_signal(n, RngStream(50, 0))
-    matrix = np.eye(n) + np.outer(x, x.conj())
-
-    result = power_iteration(lambda v: matrix @ v, n, RngStream(51, 0).generator(), iters=500, tol=1e-12)
-    assert result.converged
-    assert dist(result.vector, x) <= 1e-8
-    assert result.eigenvalue == pytest.approx(2.0, rel=1e-8)
+def _spectral_problem(model, n, m, seed):
+    root = RngStream(seed, 0)
+    e = make_ensemble(m, n, model, root.substream(1))
+    x = 2.0 * unit_signal(n, root.substream(2))
+    return e, measure(e, x)
 
 
-def test_power_iteration_rayleigh_nondecreasing():
-    gen = RngStream(52, 0).generator()
-    from kaczpr.rng import complex_standard_normal
-
-    raw = complex_standard_normal(36, gen).reshape(6, 6)
-    psd = raw @ raw.conj().T  # Hermitian PSD
-    result = power_iteration(lambda v: psd @ v, 6, gen, iters=300, tol=0.0)
-    hist = result.rayleigh_history
-    assert np.all(np.diff(hist) >= -1e-12 * max(1.0, hist.max()))
+def _weighted_covariance(e, b):
+    # independent of the package: an explicit sum of rank-one terms
+    y = np.zeros((e.n, e.n), dtype=complex)
+    for a, bj in zip(e.rows, b.values):
+        y += bj**2 * np.outer(a, a.conj())
+    return y / e.m
 
 
-def test_spectral_init_population_direction():
-    n = 8
-    x = unit_signal(n, RngStream(53, 0))
-    matrix = np.eye(n) + np.outer(x, x.conj())
-    result = power_iteration(lambda v: matrix @ v, n, RngStream(54, 0).generator(), iters=500, tol=1e-12)
-    assert dist(result.vector, x) <= 1e-8
+@pytest.mark.parametrize(
+    "model, norm_model",
+    [(Model.UNIT_SPHERE, NormModel.SPHERE), (Model.COMPLEX_GAUSSIAN, NormModel.GAUSSIAN)],
+)
+@pytest.mark.parametrize("n, m", [(4, 64), (16, 256), (64, 512)])
+def test_spectral_init_direction_is_top_eigenvector(model, norm_model, n, m):
+    e, b = _spectral_problem(model, n, m, 53 + n)
+    z0 = spectral_init(e, b, InitConfig(norm_estimate=norm_model), RngStream(54, 0))
+    v = z0 / np.linalg.norm(z0)
+    y = _weighted_covariance(e, b)
+    lam_max = np.linalg.eigvals(y).real.max()
+    assert np.linalg.norm(y @ v - lam_max * v) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "model, norm_model",
+    [(Model.UNIT_SPHERE, NormModel.SPHERE), (Model.COMPLEX_GAUSSIAN, NormModel.GAUSSIAN)],
+)
+def test_spectral_init_norm_is_measurement_energy(model, norm_model):
+    n, m = 16, 256
+    e, b = _spectral_problem(model, n, m, 55)
+    z0 = spectral_init(e, b, InitConfig(norm_estimate=norm_model), RngStream(56, 0))
+    factor = n if norm_model is NormModel.SPHERE else 1
+    assert np.linalg.norm(z0) == pytest.approx(np.sqrt(factor * np.mean(b.values**2)), rel=1e-12)
+
+
+def test_spectral_init_ignores_rng_stream():
+    e, b = _spectral_problem(Model.UNIT_SPHERE, 16, 256, 57)
+    z1 = spectral_init(e, b, InitConfig(), RngStream(58, 0))
+    z2 = spectral_init(e, b, InitConfig(), RngStream(59, 3).substream(7))
+    np.testing.assert_array_equal(z1, z2)
 
 
 def test_spectral_init_quality_sphere_model():
@@ -85,16 +103,6 @@ def test_spectral_init_rejects_zero_measurements():
         spectral_init(e, Measurements(values=np.zeros(8)), InitConfig(), RngStream(1, 0))
 
 
-def test_spectral_init_warns_when_not_converged():
-    n, m = 16, 256
-    root = RngStream(63, 0)
-    e = make_ensemble(m, n, Model.UNIT_SPHERE, root.substream(1))
-    x = unit_signal(n, root.substream(2))
-    b = measure(e, x)
-    with pytest.warns(RuntimeWarning):
-        spectral_init(e, b, InitConfig(power_iters=1, tol=0.0), root.substream(3))
-
-
 def test_planted_init_exact_radius():
     for n, seed in ((4, 1), (64, 2), (128, 3)):
         x = 3.0 * unit_signal(n, RngStream(70, seed))
@@ -119,6 +127,13 @@ def test_planted_init_zero_radius_and_errors():
         planted_init(x, -0.1, RngStream(75, 0))
 
 
+def test_planted_init_rejects_overflowing_signal():
+    # ||x||^2 overflows; the direction draw used to loop on NaN forever
+    x = 1e300 * unit_signal(4, RngStream(74, 0))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        planted_init(x, 0.1, RngStream(75, 0))
+
+
 def test_planted_init_directions_vary_with_stream():
     x = unit_signal(16, RngStream(76, 0))
     z1 = planted_init(x, 0.01, RngStream(77, 0))
@@ -128,7 +143,9 @@ def test_planted_init_directions_vary_with_stream():
 
 
 def test_init_config_validation():
-    with pytest.raises(ValueError):
-        InitConfig(power_iters=0)
-    with pytest.raises(ValueError):
-        InitConfig(tol=-1.0)
+    assert [f.name for f in dataclasses.fields(InitConfig)] == ["norm_estimate"]
+    assert InitConfig().norm_estimate is NormModel.SPHERE
+    cfg = InitConfig(norm_estimate=NormModel.GAUSSIAN)
+    assert cfg.norm_estimate is NormModel.GAUSSIAN
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.norm_estimate = NormModel.SPHERE

@@ -5,6 +5,7 @@ import scipy.special
 from kaczpr import (
     Direction,
     LemmaParams,
+    Model,
     RngStream,
     check_covariance,
     check_restricted_ratio,
@@ -13,12 +14,11 @@ from kaczpr import (
     covariance_deviation,
     loose_bound_g,
     lower_bound_f,
+    make_ensemble,
     mc_F,
     mc_G,
     series_F,
-    spectral_norm,
 )
-from kaczpr.rng import complex_standard_normal
 
 
 def exact_f_sigma0(lam):
@@ -152,13 +152,19 @@ def test_report_pass_rule():
     assert set(doc) == {"name", "estimate", "std_error", "bound", "direction", "samples", "passed"}
 
 
-def test_spectral_norm_matches_dense_solver():
-    gen = RngStream(208, 0).generator()
-    raw = complex_standard_normal(64, gen).reshape(8, 8)
-    herm = raw + raw.conj().T
-    got = spectral_norm(herm)
-    want = np.linalg.norm(herm, 2)
-    assert got == pytest.approx(want, rel=1e-8)
+@pytest.mark.parametrize("n, m", [(4, 16), (16, 256), (64, 1024)])
+def test_covariance_deviation_matches_dense_norm(n, m):
+    rows = make_ensemble(m, n, Model.UNIT_SPHERE, RngStream(208, n)).rows
+    deviation = sum(np.outer(a, a.conj()) for a in rows) / m - np.eye(n) / n
+    want = np.linalg.norm(deviation, 2)
+    assert covariance_deviation(rows) == pytest.approx(want, rel=1e-10)
+
+
+def test_covariance_deviation_counts_negative_eigenvalues():
+    # n - 1 coordinate rows: the deviation's largest eigenvalue is 1/(n(n-1)),
+    # its most negative -1/n, which sets the norm
+    n = 4
+    assert covariance_deviation(np.eye(n, dtype=complex)[:-1]) == pytest.approx(1.0 / n, rel=1e-12)
 
 
 def test_covariance_population_deviation_zero():

@@ -97,6 +97,10 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
+        if self.threads < 1:
+            raise ValueError("--threads must be at least 1")
+        if self.samples < 0:
+            raise ValueError("--samples must be nonnegative")
         # squared distances up to (2 * scale)^2 must stay representable
         if not MIN_SCALE <= self.scale <= MAX_SCALE:
             raise ValueError(f"--scale must be finite and lie in [{MIN_SCALE:g}, {MAX_SCALE:g}]")
@@ -203,10 +207,10 @@ def _pool_entry(args):
 
 
 def _run_trials(cfg: ExperimentConfig) -> list[SolverTrace]:
-    if cfg.serial or cfg.threads <= 1 or cfg.trials <= 1:
+    if cfg.serial or cfg.threads == 1 or cfg.trials <= 1:
         return [_TRIAL_RUNNERS[cfg.command](cfg, t) for t in range(cfg.trials)]
     jobs = [(asdict(cfg), t) for t in range(cfg.trials)]
-    with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(cfg.threads, cfg.trials)) as pool:
         results = dict(pool.map(_pool_entry, jobs))
     return [results[t] for t in range(cfg.trials)]
 
@@ -250,12 +254,9 @@ def _aggregate(cfg: ExperimentConfig, traces: list[SolverTrace], out: Path) -> d
     k_axis = np.arange(k_len)
     frac_exited_by_k = (stop[None, :] <= k_axis[:, None]).mean(axis=1)
 
-    lines = ["k,mean_dist2,median_dist,frac_exited"]
-    for k in range(k_len):
-        lines.append(
-            f"{k},{_fmt(mean_d2[k])},{_fmt(median_d[k])},{_fmt(frac_exited_by_k[k])}"
-        )
-    (out / "aggregate.csv").write_text("\n".join(lines) + "\n")
+    columns = (map(repr, col.tolist()) for col in (mean_d2, median_d, frac_exited_by_k))
+    body = map("{},{},{},{}\n".format, range(k_len), *columns)
+    (out / "aggregate.csv").write_text("k,mean_dist2,median_dist,frac_exited\n" + "".join(body))
 
     frac_exited = float(exited.mean())
     summary = _sidecar_base(cfg)

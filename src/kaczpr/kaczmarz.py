@@ -1,6 +1,6 @@
 """Row-action iterations.
 
-Two run loops, one per row type:
+One step loop serves two row types:
 
 * phaseless rows b = |a^* x| (run_pr): each step keeps the phase of the
   current residual a^* z and projects onto the hyperplane where the chosen
@@ -9,12 +9,13 @@ Two run loops, one per row type:
 * linear rows y = a^* x (run_linear): the classical orthogonal projection
       z <- z + ((y - a^* z) / ||a||^2) * a.
 
-Both loops hand every iterate to one recorder.  It copies the iterate into
-a buffer of a few hundred rows; when the buffer fills, and once at the end,
-one vectorized pass computes the distance of every buffered iterate to the
-truth (the circle distance for run_pr, the plain error for run_linear) and
-checks that the steps taken so far stayed finite.  Per-step distance calls
-would cost more than the step itself at n = 128.
+The iterate lives in a buffer of a few hundred rows: each step writes the
+next iterate into the next row, with no allocation per step.  When the
+buffer fills, and once at the end, one vectorized pass checks that its
+iterates stayed finite and, when a truth is given, computes the distance of
+every one of them to the truth (the circle distance for run_pr, the plain
+error for run_linear).  Per-step distance calls would cost more than the
+step itself at n = 128.
 
 Runs never halt early when the iterate leaves the trust ball; the first exit
 step, read off the finished distance array, is recorded as the trace's
@@ -95,13 +96,14 @@ class SolverTrace:
     def to_csv(self, path) -> None:
         """Write `k,i_k,dist,abs_az`, one row per iteration plus the final state."""
         k_max = self.iterations
-        lines = ["k,i_k,dist,abs_az"]
-        for k in range(k_max):
-            d = repr(float(self.dist[k])) if self.dist is not None else ""
-            lines.append(f"{k},{self.rows[k]},{d},{repr(float(self.abs_az[k]))}")
-        d = repr(float(self.dist[k_max])) if self.dist is not None else ""
-        lines.append(f"{k_max},-1,{d},")
-        Path(path).write_text("\n".join(lines) + "\n")
+        if self.dist is None:
+            dist = [""] * (k_max + 1)
+        else:
+            dist = list(map(repr, self.dist.tolist()))
+        abs_az = map(repr, self.abs_az.tolist())
+        body = map("{},{},{},{}\n".format, range(k_max), self.rows.tolist(), dist, abs_az)
+        text = "k,i_k,dist,abs_az\n" + "".join(body) + f"{k_max},-1,{dist[k_max]},\n"
+        Path(path).write_text(text)
 
     def sidecar(self) -> dict:
         doc = {
@@ -236,93 +238,109 @@ def _plain_error_rows(zs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _row_norms(zs - x)
 
 
-class _RunRecorder:
-    """abs_az, the distance track and the non-finite guard of one run.
+def _run(
+    ensemble: Ensemble,
+    rhs: np.ndarray,
+    z0,
+    config: SolverConfig,
+    rng: RngStream,
+    truth,
+    linear: bool,
+) -> SolverTrace:
+    """The step loop of run_pr (rhs = b) and run_linear (rhs = y).
 
-    The loop writes abs_az[k] during step k and pushes each new iterate; the
-    start z0 is pushed here.  A full buffer of iterates, and finish(),
-    trigger one vectorized distance pass over the buffered rows and a check
-    of the abs_az written since the last check.  Untracked runs buffer
-    nothing and are checked once, at the end.
+    Iterate k lives in row k mod B of a B-row buffer, and each step writes
+    the next iterate straight into the next row.  When the buffer is full,
+    and once at the end, one pass checks that its iterates are finite and,
+    for tracked runs, computes all of their distances.
     """
-
-    def __init__(self, z0: np.ndarray, idx: np.ndarray, x, config: SolverConfig, dist_rows):
-        k_max = idx.shape[0]
-        self.idx = idx
-        self.abs_az = np.empty(k_max)
-        self.dist = None
-        self._x = x
-        self._dist_rows = dist_rows
-        self._filled = 0  # iterates waiting in the buffer
-        self._done = 0  # iterates whose distance is recorded
-        self._checked = 0  # abs_az entries checked to be finite
-        if config.track_distance:
-            n = z0.shape[0]
-            self._radius = config.ball_radius_rel * float(np.linalg.norm(x))
-            self.dist = np.empty(k_max + 1)
-            rows = max(1, _TRACK_BUFFER_BYTES // (16 * n))
-            self._buf = np.empty((min(rows, k_max + 1), n), dtype=np.complex128)
-            self.push(z0)
-
-    def push(self, z: np.ndarray) -> None:
-        self._buf[self._filled] = z
-        self._filled += 1
-        if self._filled == self._buf.shape[0]:
-            self._flush()
-
-    def _flush(self) -> None:
-        newest = self._done + self._filled - 1
-        self._check(newest)
-        self.dist[self._done : newest + 1] = self._dist_rows(self._buf[: self._filled], self._x)
-        self._done = newest + 1
-        self._filled = 0
-
-    def _check(self, stop: int) -> None:
-        """Raise on the first non-finite abs_az[k], k < stop: iterate k blew up."""
-        bad = np.flatnonzero(~np.isfinite(self.abs_az[self._checked : stop]))
-        if bad.size:
-            self._fail(self._checked + int(bad[0]))
-        self._checked = stop
-
-    def _fail(self, k: int) -> NoReturn:
-        source = f", produced by row {self.idx[k - 1]}" if k else ""
-        raise ValueError(f"non-finite iterate at step {k}{source}")
-
-    def finish(self, z: np.ndarray, meta: dict) -> SolverTrace:
-        """Check and record what is left, then build the trace with final iterate z."""
-        k_max = self.abs_az.shape[0]
-        self._check(k_max)
-        if not np.all(np.isfinite(z)):
-            self._fail(k_max)
-        stopping_time = None
-        if self.dist is not None:
-            if self._filled:
-                self._flush()
-            exits = np.flatnonzero(self.dist > self._radius)
-            stopping_time = int(exits[0]) if exits.size else None
-        return SolverTrace(
-            rows=self.idx.astype(np.int64),
-            abs_az=self.abs_az,
-            dist=self.dist,
-            stopping_time=stopping_time,
-            final=z,
-            meta=meta,
-        )
-
-
-def _start(ensemble: Ensemble, z0, config: SolverConfig, truth):
-    """Validated copy of z0 and validated truth (None when absent)."""
-    z = as_cvector(z0, "z0").copy()
+    z = as_cvector(z0, "z0")
     if z.shape[0] != ensemble.n:
         raise ValueError("z0 dimension does not match ensemble")
-    if truth is None:
-        if config.track_distance:
-            raise ValueError("track_distance requires a ground-truth vector")
-        return z, None
-    x = as_cvector(truth, "truth")
-    if x.shape[0] != ensemble.n:
-        raise ValueError("truth dimension does not match ensemble")
-    return z, x
+    x = None
+    if truth is not None:
+        x = as_cvector(truth, "truth")
+        if x.shape[0] != ensemble.n:
+            raise ValueError("truth dimension does not match ensemble")
+    elif config.track_distance:
+        raise ValueError("track_distance requires a ground-truth vector")
+    k_max = config.max_iters
+    idx = select_rows(ensemble, rng, k_max, config.selection)
+    n = ensemble.n
+    B = min(max(1, _TRACK_BUFFER_BYTES // (16 * n)), k_max + 1)
+    buf = np.empty((B, n), dtype=np.complex128)
+    buf[0] = z
+    slots = list(buf)
+    z = slots[0]
+    rows = list(ensemble.rows)
+    rhs = rhs.tolist()
+    norms_sq = ensemble.row_norms_sq.tolist()
+    skip = config.zero_residual_policy is ZeroResidualPolicy.SKIP
+    dist_rows = _plain_error_rows if linear else _dist_rows
+    abs_az = np.empty(k_max)
+    dist = np.empty(k_max + 1) if config.track_distance else None
+
+    def fail(k: int) -> NoReturn:
+        source = f", produced by row {idx[k - 1]}" if k else ""
+        raise ValueError(f"non-finite iterate at step {k}{source}")
+
+    def flush(done: int, filled: int) -> None:
+        """Check and record iterates done .. done + filled - 1, held in buf[:filled]."""
+        newest = done + filled - 1
+        bad = np.flatnonzero(~np.isfinite(abs_az[done : newest + 1]))
+        if bad.size:
+            fail(done + int(bad[0]))
+        if newest == k_max and not np.all(np.isfinite(buf[filled - 1])):
+            fail(k_max)
+        if dist is not None:
+            dist[done : newest + 1] = dist_rows(buf[:filled], x)
+
+    vdot, multiply, add, subtract = np.vdot, np.multiply, np.add, np.subtract
+    tmp = np.empty(n, dtype=np.complex128)
+    # the step coefficient goes through a 0-d array, which numpy takes without
+    # the per-call conversion of a scalar operand; its own arithmetic stays in
+    # numpy scalars, whose complex division rounds unlike Python's
+    coef = np.empty((), dtype=np.complex128)
+    done = slot = 0
+    for k, j in enumerate(idx.tolist()):
+        a = rows[j]
+        s = vdot(a, z)
+        mag = abs(s)
+        abs_az[k] = mag
+        slot += 1
+        if slot == B:
+            flush(done, B)
+            done += B
+            slot = 0
+        nxt = slots[slot]
+        if linear:
+            coef[()] = (rhs[j] - s) / norms_sq[j]
+            multiply(coef, a, out=tmp)
+            add(z, tmp, out=nxt)
+        elif mag != 0.0:
+            coef[()] = (1.0 - rhs[j] / mag) * s / norms_sq[j]
+            multiply(coef, a, out=tmp)
+            subtract(z, tmp, out=nxt)
+        elif skip:
+            nxt[...] = z
+        else:
+            multiply(rhs[j] / norms_sq[j], a, out=tmp)
+            add(z, tmp, out=nxt)
+        z = nxt
+    flush(done, slot + 1)
+
+    stopping_time = None
+    if dist is not None:
+        exits = np.flatnonzero(dist > config.ball_radius_rel * float(np.linalg.norm(x)))
+        stopping_time = int(exits[0]) if exits.size else None
+    return SolverTrace(
+        rows=idx.astype(np.int64),
+        abs_az=abs_az,
+        dist=dist,
+        stopping_time=stopping_time,
+        final=z.copy(),
+        meta=_trace_meta(ensemble, rng, config),
+    )
 
 
 def run_pr(
@@ -342,31 +360,7 @@ def run_pr(
     """
     if b.m != ensemble.m:
         raise ValueError("measurement count does not match ensemble")
-    z, x = _start(ensemble, z0, config, truth)
-
-    idx = select_rows(ensemble, rng, config.max_iters, config.selection)
-    rows = ensemble.rows
-    norms_sq = ensemble.row_norms_sq
-    rows_conj = rows.conj()
-    bvals = b.values
-    skip = config.zero_residual_policy is ZeroResidualPolicy.SKIP
-
-    record = _RunRecorder(z, idx, x, config, _dist_rows)
-    abs_az = record.abs_az
-    track = config.track_distance
-    for k in range(config.max_iters):
-        j = idx[k]
-        s = rows_conj[j] @ z
-        mag = abs(s)
-        abs_az[k] = mag
-        if mag == 0.0:
-            if not skip:
-                z = z + (bvals[j] / norms_sq[j]) * rows[j]
-        else:
-            z = z - ((1.0 - bvals[j] / mag) * s / norms_sq[j]) * rows[j]
-        if track:
-            record.push(z)
-    return record.finish(z, _trace_meta(ensemble, rng, config))
+    return _run(ensemble, b.values, z0, config, rng, truth, linear=False)
 
 
 def run_linear(
@@ -385,21 +379,4 @@ def run_linear(
     y = np.asarray(y, dtype=np.complex128)
     if y.ndim != 1 or y.shape[0] != ensemble.m:
         raise ValueError("right-hand side must have one entry per row")
-    z, x = _start(ensemble, z0, config, truth)
-
-    idx = select_rows(ensemble, rng, config.max_iters, config.selection)
-    rows = ensemble.rows
-    rows_conj = rows.conj()
-    norms_sq = ensemble.row_norms_sq
-
-    record = _RunRecorder(z, idx, x, config, _plain_error_rows)
-    abs_az = record.abs_az
-    track = config.track_distance
-    for k in range(config.max_iters):
-        j = idx[k]
-        s = rows_conj[j] @ z
-        abs_az[k] = abs(s)
-        z = z + ((y[j] - s) / norms_sq[j]) * rows[j]
-        if track:
-            record.push(z)
-    return record.finish(z, _trace_meta(ensemble, rng, config))
+    return _run(ensemble, y, z0, config, rng, truth, linear=True)

@@ -75,5 +75,13 @@ def complex_standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
     depends only on the uniform stream, not on numpy's normal sampler.
     """
     u = gen.random((2, n))
-    radius = np.sqrt(-np.log1p(-u[0]))
-    return radius * np.exp(2j * np.pi * u[1])
+    # the formula's ufuncs in its order, computed in place
+    radius = u[0]
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    out = np.zeros(n, dtype=np.complex128)
+    np.multiply(2.0 * np.pi, u[1], out=out.imag)
+    np.exp(out, out=out)
+    return np.multiply(radius, out, out=out)

@@ -99,7 +99,7 @@ def make_ensemble(m: int, n: int, model, rng: RngStream) -> Ensemble:
             bad = norms == 0.0
             rows[bad] = complex_standard_normal(int(bad.sum()) * n, gen).reshape(-1, n)
             norms = np.linalg.norm(rows, axis=1)
-        rows = rows / norms[:, None]
+        rows /= norms[:, None]
     row_norms_sq = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum(
         "ij,ij->i", rows.imag, rows.imag
     )

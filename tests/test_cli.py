@@ -296,3 +296,64 @@ def test_large_scale_keeps_distances_finite(tmp_path, command):
     assert np.all(np.isfinite(rows["dist"]))
     # final_mean_dist2 covers surviving trials only; a zero-init baseline has none
     assert read_json(out / "summary.json")["final_median_dist"] is not None
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["rsc-scan", "--n", "8", "--m", "64", "--samples", "-2"], "--samples"),
+    (["solve", *_SCALE_RUN[:-1], "--threads", "-4"], "--threads"),
+    (["solve", *_SCALE_RUN[:-1], "--threads", "0"], "--threads"),
+    (["baseline", *_SCALE_RUN[:-1], "--threads", "0"], "--threads"),
+])
+def test_out_of_range_execution_options_are_rejected(tmp_path, capsys, args, flag):
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads, trials, workers", [(8, 3, 3), (2, 4, 2)])
+def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, trials, workers):
+    import kaczpr.cli as cli
+
+    sizes = []
+
+    class SerialPool:  # records the requested size and runs in this process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    args = ["solve", "--n", "8", "--m", "64", "--trials", str(trials), "--max-iters", "20",
+            "--seed", "3"]
+    assert run_cli([*args, "--threads", str(threads), "--out", str(tmp_path / "pool")]) == 0
+    assert sizes == [workers]
+
+
+def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
+    from kaczpr.cli import _aggregate, _fmt, _solve_trial
+
+    cfg = resolve_config("solve", {"n": 8, "m": 64, "trials": 3, "max_iters": 40, "seed": 5,
+                                   "out_dir": str(tmp_path)}, None)
+    traces = [_solve_trial(cfg, t) for t in range(3)]
+    dists = np.stack([t.dist for t in traces])
+    k_axis = np.arange(41)
+    for stops, surviving in (((None, 7, None), [0, 2]), ((3, 7, 0), [])):
+        for trace, stop in zip(traces, stops):
+            trace.stopping_time = stop
+        _aggregate(cfg, traces, tmp_path)
+        # the per-line writer aggregate.csv was first written with
+        mean_d2 = (dists[surviving] ** 2).mean(axis=0) if surviving else np.full(41, np.nan)
+        median_d = np.median(dists, axis=0)
+        stop_k = np.array([41 if s is None else s for s in stops])
+        frac = (stop_k[None, :] <= k_axis[:, None]).mean(axis=1)
+        lines = ["k,mean_dist2,median_dist,frac_exited"]
+        for k in range(41):
+            lines.append(f"{k},{_fmt(mean_d2[k])},{_fmt(median_d[k])},{_fmt(frac[k])}")
+        assert (tmp_path / "aggregate.csv").read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -485,3 +485,129 @@ def test_sidecar_counts_zero_residual_steps_and_smallest_abs_az():
     doc = trace.sidecar()
     assert doc["zero_residual_steps"] == 0
     assert doc["min_abs_az"] == 0.125
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _block_problem(n=128, m=32):
+    """Rows supported on the first or the second half of the coordinates.
+
+    z0 lives on the first half, so a^* z is exactly 0 for second-half rows
+    until the iterate picks up second-half coordinates (under SKIP, never).
+    """
+    from kaczpr import Ensemble
+
+    gen = RngStream(90, 0).generator()
+    rows = np.zeros((m, n), complex)
+    half = n // 2
+    rows[: m // 2, :half] = gen.standard_normal((m // 2, half)) + 1j * gen.standard_normal((m // 2, half))
+    rows[m // 2 :, half:] = gen.standard_normal((m // 2, half)) + 1j * gen.standard_normal((m // 2, half))
+    rows *= (1.0 + gen.random(m))[:, None] / np.linalg.norm(rows, axis=1)[:, None]
+    norms_sq = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum("ij,ij->i", rows.imag, rows.imag)
+    e = Ensemble(rows=rows, model=Model.COMPLEX_GAUSSIAN, row_norms_sq=norms_sq)
+    x = unit_signal(n, RngStream(90, 1))
+    z0 = np.zeros(n, complex)
+    z0[:half] = x[:half] + 0.01 * unit_signal(half, RngStream(90, 2))
+    return e, x, z0
+
+
+def _reference_run(e, rhs, z0, cfg, rng, x, linear):
+    """Plain per-step loop: the oracle for the shared step loop.
+
+    Returns (abs_az, dist, final); dist comes from one pass over all iterates.
+    """
+    idx = select_rows(e, rng, cfg.max_iters, cfg.selection)
+    z = np.array(z0, dtype=complex)
+    iterates, abs_az = [z], []
+    for j in idx:
+        a = e.rows[j]
+        s = np.vdot(a, z)
+        mag = abs(s)
+        abs_az.append(mag)
+        if linear:
+            z = z + ((rhs[j] - s) / e.row_norms_sq[j]) * a
+        elif mag != 0.0:
+            c = (1.0 - rhs[j] / mag) * s / e.row_norms_sq[j]
+            z = z - c * a
+        elif cfg.zero_residual_policy is ZeroResidualPolicy.PHASE_ONE:
+            z = z + (rhs[j] / e.row_norms_sq[j]) * a
+        iterates.append(z)
+    dist = None
+    if cfg.track_distance:
+        zs = np.array(iterates)
+        dist = kaczmarz._row_norms(zs - x) if linear else kaczmarz._dist_rows(zs, x)
+    return np.array(abs_az, dtype=float), dist, z
+
+
+@pytest.mark.parametrize("buffer_rows", [1, 2, None])
+def test_run_loops_match_plain_reference_loop_bit_for_bit(monkeypatch, buffer_rows):
+    e, x, z0 = _block_problem()
+    if buffer_rows is not None:
+        monkeypatch.setattr(kaczmarz, "_TRACK_BUFFER_BYTES", 16 * e.n * buffer_rows)
+    B = _buffer_rows(e.n)
+    b = measure(e, x)
+    y = e.rows.conj() @ x
+    solvers = [(run_pr, b, b.values, False, policy)
+               for policy in (ZeroResidualPolicy.PHASE_ONE, ZeroResidualPolicy.SKIP)]
+    solvers.append((run_linear, y, y, True, ZeroResidualPolicy.PHASE_ONE))
+    zero_steps = dict.fromkeys(ZeroResidualPolicy, 0)
+    for solver, rhs, raw, linear, policy in solvers:
+        for selection in Selection:
+            for track in (True, False):
+                for k_max in sorted({0, 1, B - 1, B, B + 1}):
+                    cfg = SolverConfig(max_iters=k_max, track_distance=track, selection=selection,
+                                       zero_residual_policy=policy)
+                    trace = solver(e, rhs, z0, cfg, RngStream(91, k_max), truth=x)
+                    abs_az, dist, final = _reference_run(e, raw, z0, cfg, RngStream(91, k_max),
+                                                         x, linear)
+                    _same_bits(trace.abs_az, abs_az)
+                    _same_bits(trace.final, final)
+                    if track:
+                        _same_bits(trace.dist, dist)
+                    else:
+                        assert trace.dist is None
+                    if not linear:
+                        zero_steps[policy] += int(np.count_nonzero(abs_az == 0.0))
+    assert all(zero_steps.values())  # both zero-residual branches ran
+
+
+def _reference_csv(trace):
+    """Per-line trace writer, kept as the reference for SolverTrace.to_csv."""
+    k_max = trace.iterations
+    lines = ["k,i_k,dist,abs_az"]
+    for k in range(k_max):
+        d = repr(float(trace.dist[k])) if trace.dist is not None else ""
+        lines.append(f"{k},{trace.rows[k]},{d},{repr(float(trace.abs_az[k]))}")
+    d = repr(float(trace.dist[k_max])) if trace.dist is not None else ""
+    lines.append(f"{k_max},-1,{d},")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def test_trace_csv_bytes_match_per_line_writer(tmp_path):
+    e, x, z0 = _planted_problem(16, 128, 94)
+    b = measure(e, x)
+    for k_max in (0, 300):
+        for track in (True, False):
+            cfg = SolverConfig(max_iters=k_max, track_distance=track)
+            trace = run_pr(e, b, z0, cfg, RngStream(95, 0), truth=x)
+            path = tmp_path / f"trace_{k_max}_{track}.csv"
+            trace.to_csv(path)
+            assert path.read_bytes() == _reference_csv(trace)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 32), ratio=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       k=st.integers(0, 200))
+def test_run_pr_lands_on_the_level_set_of_its_last_row(n, ratio, seed, k):
+    e = make_ensemble(ratio * n, n, Model.UNIT_SPHERE, RngStream(seed, 0))
+    x = unit_signal(n, RngStream(seed, 1))
+    b = measure(e, x)
+    z0 = planted_init(x, 0.005, RngStream(seed, 2))
+    trace = run_pr(e, b, z0, SolverConfig(max_iters=k + 1, track_distance=False), RngStream(seed, 3))
+    assume(trace.abs_az[-1] != 0.0)
+    j = trace.rows[-1]
+    assert abs(np.vdot(e.rows[j], trace.final)) == pytest.approx(b.values[j], rel=1e-12)

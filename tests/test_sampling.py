@@ -16,6 +16,7 @@ from kaczpr import (
     sample_complex_gaussian,
     sample_unit_sphere,
 )
+from kaczpr.rng import complex_standard_normal
 
 # frozen outputs of the documented generator; a change here is a breaking
 # change to every recorded experiment
@@ -34,6 +35,14 @@ GOLDEN_SPHERE_2_5 = np.array(
 def test_generator_regression_anchor():
     np.testing.assert_array_equal(sample_complex_gaussian(2, RngStream(1, 0)), GOLDEN_GAUSSIAN_1_0)
     np.testing.assert_array_equal(sample_unit_sphere(3, RngStream(2, 5)), GOLDEN_SPHERE_2_5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 131072])
+def test_complex_standard_normal_is_the_documented_formula_bit_for_bit(n):
+    out = complex_standard_normal(n, RngStream(80, n).generator())
+    u = RngStream(80, n).generator().random((2, n))
+    ref = np.sqrt(-np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+    np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
 def test_repeated_calls_are_identical():

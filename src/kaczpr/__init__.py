@@ -27,7 +27,6 @@ from .kaczmarz import (
     pr_step,
     run_linear,
     run_pr,
-    select_row,
     select_rows,
 )
 from .rng import GENERATOR_ID, RngStream, complex_standard_normal
@@ -35,19 +34,14 @@ from .sampling import (
     Ensemble,
     Measurements,
     Model,
-    ensemble_from_json,
-    ensemble_to_json,
     make_ensemble,
     measure,
-    measurements_from_json,
-    measurements_to_json,
     sample_complex_gaussian,
     sample_unit_sphere,
 )
 from .verify import (
     Direction,
     LemmaParams,
-    LemmaReport,
     check_covariance,
     check_restricted_ratio,
     check_truncated_moment,

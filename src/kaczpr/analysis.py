@@ -237,6 +237,19 @@ class ContractionStats:
     trials_included: int
 
 
+def _mean_dist_sq(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over trials (rows) of squared distances, and its step ratios
+    mean[k+1] / mean[k].
+
+    The caller squares, so its unsquared copy can be freed first.  A zero
+    mean gives an inf or nan ratio, left for the caller to mask.
+    """
+    mean_d2 = d2.mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = mean_d2[1:] / mean_d2[:-1]
+    return mean_d2, ratios
+
+
 def contraction_stats(traces: list[SolverTrace]) -> ContractionStats:
     """Ratio series r_k = mean dist^2 at k+1 over mean at k.
 
@@ -254,10 +267,7 @@ def contraction_stats(traces: list[SolverTrace]) -> ContractionStats:
     frac_exited = 1.0 - len(kept) / len(traces)
     if not kept:
         raise ValueError("every trace exited the ball; no surviving trials")
-    d2 = np.stack([t.dist**2 for t in kept])
-    mean_d2 = d2.mean(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = mean_d2[1:] / mean_d2[:-1]
+    mean_d2, ratios = _mean_dist_sq(np.stack([t.dist**2 for t in kept]))
     return ContractionStats(
         ratios=ratios,
         mean_dist_sq=mean_d2,

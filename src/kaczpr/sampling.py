@@ -7,14 +7,13 @@ sphere model is the normalized Gaussian: a = xi / ||xi||.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .geometry import as_cvector
-from .rng import GENERATOR_ID, RngStream, complex_standard_normal
+from .rng import RngStream, complex_standard_normal
 
 
 class Model(Enum):
@@ -118,47 +117,3 @@ def measure(ensemble: Ensemble, x) -> Measurements:
     if x.shape[0] != ensemble.n:
         raise ValueError(f"dimension mismatch: ensemble n={ensemble.n}, x has {x.shape[0]}")
     return Measurements(values=np.abs(ensemble.rows.conj() @ x))
-
-
-def ensemble_to_json(ensemble: Ensemble, include_rows: bool = False) -> str:
-    """Serialize an ensemble.
-
-    The preferred storage form is the manifest alone (seed, stream_id, m, n,
-    model): rows regenerate exactly.  ``include_rows`` embeds them for
-    ensembles not built from a stream.
-    """
-    doc = {
-        "m": ensemble.m,
-        "n": ensemble.n,
-        "model": ensemble.model.value,
-        "seed": ensemble.seed,
-        "stream_id": ensemble.stream_id,
-        "generator": GENERATOR_ID,
-    }
-    if include_rows or ensemble.seed is None:
-        doc["rows"] = [[float(c.real), float(c.imag)] for c in ensemble.rows.ravel()]
-    return json.dumps(doc, sort_keys=True)
-
-
-def ensemble_from_json(text: str) -> Ensemble:
-    doc = json.loads(text)
-    model = Model.parse(doc["model"])
-    if "rows" in doc:
-        flat = np.array([complex(re, im) for re, im in doc["rows"]], dtype=np.complex128)
-        rows = flat.reshape(doc["m"], doc["n"])
-        norms_sq = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum(
-            "ij,ij->i", rows.imag, rows.imag
-        )
-        return Ensemble(rows, model, norms_sq, doc.get("seed"), doc.get("stream_id"))
-    if doc.get("seed") is None:
-        raise ValueError("ensemble document has neither rows nor a seed to regenerate from")
-    return make_ensemble(doc["m"], doc["n"], model, RngStream(doc["seed"], doc["stream_id"]))
-
-
-def measurements_to_json(b: Measurements) -> str:
-    return json.dumps({"m": b.m, "values": [float(v) for v in b.values]}, sort_keys=True)
-
-
-def measurements_from_json(text: str) -> Measurements:
-    doc = json.loads(text)
-    return Measurements(values=np.asarray(doc["values"], dtype=np.float64))

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import numpy as np
@@ -357,3 +358,87 @@ def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
         for k in range(41):
             lines.append(f"{k},{_fmt(mean_d2[k])},{_fmt(median_d[k])},{_fmt(frac[k])}")
         assert (tmp_path / "aggregate.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run pool jobs in this process, in order; returns what the jobs returned."""
+    import kaczpr.cli as cli
+
+    returned = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            for job in jobs:
+                returned.append(fn(job))
+                yield returned[-1]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    return returned
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_pool_trial_leaves_no_summary(tmp_path, monkeypatch, capsys, in_process_pool):
+    import kaczpr.cli as cli
+    from kaczpr import Measurements
+
+    real_measure = cli.measure
+
+    def measure(e, x):  # trial 2's magnitudes drive its iterate to inf
+        if e.stream_id == 2:
+            return Measurements(values=np.full(e.m, 1e308))
+        return real_measure(e, x)
+
+    monkeypatch.setattr(cli, "measure", measure)
+    out = tmp_path / "pool"
+    rc = run_cli(["solve", "--n", "8", "--m", "64", "--trials", "4", "--max-iters", "100",
+                  "--threads", "2", "--out", str(out)])
+    assert rc == 2
+    assert re.search(r"kaczpr: non-finite iterate at step \d+, produced by row \d+",
+                     capsys.readouterr().err)
+    assert len(in_process_pool) == 2  # trials 0 and 1 finished and kept their traces
+    assert (out / "trace_0001.csv").exists()
+    assert not (out / "summary.json").exists()
+    assert not (out / "aggregate.csv").exists()
+
+
+def test_pool_workers_return_only_distances_and_stopping_times(tmp_path, in_process_pool):
+    args = ["solve", "--n", "8", "--m", "64", "--trials", "3", "--max-iters", "300",
+            "--seed", "3", "--threads", "2", "--out", str(tmp_path / "pool")]
+    assert run_cli(args) == 0
+    assert len(in_process_pool) == 3
+    for result in in_process_pool:
+        assert len(pickle.dumps(result)) < result.dist.nbytes + 1024
+    for t in range(3):
+        assert (tmp_path / "pool" / f"trace_{t:04d}.json").exists()
+
+
+_M_CASES = [("m", "--m", "0"), ("m", "--m", "-3"),
+            ("m_over_n", "--m-over-n", "0"), ("m_over_n", "--m-over-n", "-2")]
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("key, flag, value", _M_CASES)
+def test_nonpositive_m_is_rejected_from_every_source(tmp_path, monkeypatch, capsys,
+                                                     source, key, flag, value):
+    args = ["solve", "--n", "8", "--trials", "1", "--max-iters", "5"]
+    if source == "flag":
+        args += [flag, value]
+    elif source == "env":
+        monkeypatch.setenv("KACZPR_" + key.upper(), value)
+    else:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: int(value)}))
+        args += ["--config", str(cfg_file)]
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+    assert f"{flag} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

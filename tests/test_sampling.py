@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 import scipy.stats
@@ -7,12 +5,8 @@ import scipy.stats
 from kaczpr import (
     Model,
     RngStream,
-    ensemble_from_json,
-    ensemble_to_json,
     make_ensemble,
     measure,
-    measurements_from_json,
-    measurements_to_json,
     sample_complex_gaussian,
     sample_unit_sphere,
 )
@@ -163,30 +157,3 @@ def test_measurements_reject_negative_values():
         Measurements(values=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         Measurements(values=np.array([np.inf]))
-
-
-def test_ensemble_json_without_rows_or_seed_rejected():
-    bad = json.dumps({"m": 2, "n": 2, "model": "sphere", "seed": None, "stream_id": None})
-    with pytest.raises(ValueError):
-        ensemble_from_json(bad)
-
-
-def test_ensemble_json_roundtrip_via_regeneration():
-    e = make_ensemble(6, 3, Model.UNIT_SPHERE, RngStream(21, 4))
-    doc = json.loads(ensemble_to_json(e))
-    assert set(doc) >= {"m", "n", "model", "seed", "stream_id", "generator"}
-    back = ensemble_from_json(ensemble_to_json(e))
-    np.testing.assert_array_equal(back.rows, e.rows)
-
-
-def test_ensemble_json_roundtrip_with_rows():
-    e = make_ensemble(4, 2, Model.COMPLEX_GAUSSIAN, RngStream(22, 0))
-    back = ensemble_from_json(ensemble_to_json(e, include_rows=True))
-    np.testing.assert_array_equal(back.rows, e.rows)
-
-
-def test_measurements_json_roundtrip(small_ensemble):
-    x = sample_unit_sphere(4, RngStream(23, 0))
-    b = measure(small_ensemble, x)
-    back = measurements_from_json(measurements_to_json(b))
-    np.testing.assert_array_equal(back.values, b.values)

@@ -34,9 +34,14 @@ from .sampling import Ensemble, Measurements
 _EPS = np.finfo(np.float64).eps
 
 
-def _row_products(ensemble: Ensemble, v: np.ndarray) -> np.ndarray:
-    """a_j^* v for every row."""
-    return ensemble.rows.conj() @ v
+def _row_products(ensemble: Ensemble, *vectors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """a_j^* v for every row and each v, from one conjugate copy of the rows.
+
+    Each product is its own matrix-vector product: stacking the vectors into
+    one matrix product would round differently.
+    """
+    conj = ensemble.rows.conj()
+    return tuple(conj @ v for v in vectors)
 
 
 def _check_dims(ensemble: Ensemble, *vectors):
@@ -45,14 +50,38 @@ def _check_dims(ensemble: Ensemble, *vectors):
             raise ValueError(f"dimension mismatch: ensemble n={ensemble.n}, vector has {v.shape[0]}")
 
 
+def _loss(absP: np.ndarray, q: np.ndarray) -> float:
+    return float(np.mean((absP - q) ** 2))
+
+
+def _derivative(P: np.ndarray, absP: np.ndarray, q: np.ndarray, Pv: np.ndarray) -> float:
+    cross = (Pv * P.conj()).real
+    return float(2.0 * np.mean((1.0 - q / absP) * cross))
+
+
+def _row_terms(absP: np.ndarray, Q: np.ndarray, q: np.ndarray, Ph: np.ndarray):
+    """(T_j, |a_j^* h|, Re(h^* a_j a_j^* x)) from the row products; see margin_row_terms."""
+    abs_h = np.abs(Ph)
+    abs_h_sq = abs_h**2
+    cross = (Ph.conj() * Q).real  # Re(h^* a_j a_j^* x)
+    den1 = absP * (absP + q)
+    den2 = absP * (absP + q) ** 2
+    terms = (
+        abs_h_sq
+        - 2.0 * q**2 * abs_h_sq / den1
+        + 2.0 * q * abs_h_sq * cross / den2
+        + 4.0 * q * cross**2 / den2
+    )
+    return terms, abs_h, cross
+
+
 def loss(ensemble: Ensemble, x, z) -> float:
     """Mean squared magnitude residual between z and x."""
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")
     _check_dims(ensemble, x, z)
-    p = np.abs(_row_products(ensemble, z))
-    q = np.abs(_row_products(ensemble, x))
-    return float(np.mean((p - q) ** 2))
+    P, Q = _row_products(ensemble, z, x)
+    return _loss(np.abs(P), np.abs(Q))
 
 
 def _reject_zero_products(absP: np.ndarray):
@@ -66,21 +95,37 @@ def _reject_zero_products(absP: np.ndarray):
         )
 
 
+def _check_direction(v: np.ndarray):
+    if not np.any(v):
+        raise ValueError("direction v must be nonzero")
+
+
 def directional_derivative(ensemble: Ensemble, x, z, v) -> float:
     """One-sided derivative of the magnitude residual objective at z along v."""
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")
     v = as_cvector(v, "v")
     _check_dims(ensemble, x, z, v)
-    if not np.any(v):
-        raise ValueError("direction v must be nonzero")
-    P = _row_products(ensemble, z)
+    _check_direction(v)
+    P, Q, Pv = _row_products(ensemble, z, x, v)
     absP = np.abs(P)
     _reject_zero_products(absP)
-    q = np.abs(_row_products(ensemble, x))
-    Pv = _row_products(ensemble, v)
-    cross = (Pv * P.conj()).real
-    return float(2.0 * np.mean((1.0 - q / absP) * cross))
+    return _derivative(P, absP, np.abs(Q), Pv)
+
+
+def _aligned_terms(ensemble: Ensemble, x: np.ndarray, z: np.ndarray):
+    """The aligned-error row data shared by margin_row_terms and margin_row_bounds.
+
+    Returns (terms, abs_h, cross, q) for validated x and z: the row terms
+    T_j, |a_j^* h|, Re(h^* a_j a_j^* x) and |a_j^* x|.
+    """
+    _check_dims(ensemble, x, z)
+    h = aligned_error(z, x)
+    P, Q, Ph = _row_products(ensemble, z, x, h)
+    absP = np.abs(P)
+    _reject_zero_products(absP)
+    q = np.abs(Q)
+    return (*_row_terms(absP, Q, q, Ph), q)
 
 
 def margin_row_terms(ensemble: Ensemble, x, z) -> np.ndarray:
@@ -97,26 +142,7 @@ def margin_row_terms(ensemble: Ensemble, x, z) -> np.ndarray:
               + 4 |a_j^* x| Re^2(h^* a_j a_j^* x)
                     / (|a_j^* z| (|a_j^* z| + |a_j^* x|)^2).
     """
-    x = as_cvector(x, "x")
-    z = as_cvector(z, "z")
-    _check_dims(ensemble, x, z)
-    h = aligned_error(z, x)
-    P = _row_products(ensemble, z)
-    absP = np.abs(P)
-    _reject_zero_products(absP)
-    Q = _row_products(ensemble, x)
-    q = np.abs(Q)
-    Ph = _row_products(ensemble, h)
-    abs_h_sq = np.abs(Ph) ** 2
-    cross = (Ph.conj() * Q).real  # Re(h^* a_j a_j^* x)
-    den1 = absP * (absP + q)
-    den2 = absP * (absP + q) ** 2
-    return (
-        abs_h_sq
-        - 2.0 * q**2 * abs_h_sq / den1
-        + 2.0 * q * abs_h_sq * cross / den2
-        + 4.0 * q * cross**2 / den2
-    )
+    return _aligned_terms(ensemble, as_cvector(x, "x"), as_cvector(z, "z"))[0]
 
 
 def margin_row_bounds(ensemble: Ensemble, x, z, alpha: float = 12.0):
@@ -132,16 +158,8 @@ def margin_row_bounds(ensemble: Ensemble, x, z, alpha: float = 12.0):
     """
     if alpha <= 1.0:
         raise ValueError("alpha must exceed 1")
-    x = as_cvector(x, "x")
-    z = as_cvector(z, "z")
-    terms = margin_row_terms(ensemble, x, z)
-    h = aligned_error(z, x)
-    Q = _row_products(ensemble, x)
-    q = np.abs(Q)
-    Ph = _row_products(ensemble, h)
-    abs_h = np.abs(Ph)
+    terms, abs_h, cross, q = _aligned_terms(ensemble, as_cvector(x, "x"), as_cvector(z, "z"))
     abs_h_sq = abs_h**2
-    cross = (Ph.conj() * Q).real
     strong = q >= alpha * abs_h
     c_gain = 4.0 * alpha**3 / ((alpha + 1.0) * (2.0 * alpha + 1.0) ** 2)
     c_loss = (8.0 * alpha**2 - 5.0 * alpha + 1.0) / ((alpha - 1.0) * (2.0 * alpha - 1.0) ** 2)
@@ -166,7 +184,8 @@ def rsc_margin(ensemble: Ensemble, x, z) -> RscSample:
 
     The derivative-minus-loss gap is recomputed from the per-row expansion
     and must agree with the direct evaluation; disagreement indicates a
-    broken invariant, not bad input, hence ArithmeticError.
+    broken invariant, not bad input, hence ArithmeticError.  f, D_v f and
+    the row terms share one product a_j^* w per vector w in (z, x, v, h).
     """
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")
@@ -175,11 +194,16 @@ def rsc_margin(ensemble: Ensemble, x, z) -> RscSample:
     h_norm = float(np.linalg.norm(h))
     if h_norm == 0.0:
         raise ValueError("z lies on the solution circle; margin is undefined")
-    f = loss(ensemble, x, z)
-    v = z - x * np.exp(1j * optimal_phase(z, x))
-    d = directional_derivative(ensemble, x, z, v)
+    v = as_cvector(z - x * np.exp(1j * optimal_phase(z, x)), "v")
+    _check_direction(v)
+    P, Q, Pv, Ph = _row_products(ensemble, z, x, v, h)
+    absP = np.abs(P)
+    q = np.abs(Q)
+    f = _loss(absP, q)
+    _reject_zero_products(absP)
+    d = _derivative(P, absP, q, Pv)
     gap_direct = d - f
-    gap_rows = float(np.mean(margin_row_terms(ensemble, x, z)))
+    gap_rows = float(np.mean(_row_terms(absP, Q, q, Ph)[0]))
     scale = max(abs(gap_direct), abs(gap_rows))
     # roundoff allowance: both paths lose ~eps * ||x|| * ||h|| absolute
     xnorm = float(np.linalg.norm(x))
@@ -201,15 +225,14 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
     """Exact row-average of dist^2 after one update: no sampling error.
 
     Rows with a_j^* z = 0 take the phase-one fallback step, matching the
-    solver default.
+    solver default.  At most two m x n temporaries are live at once.
     """
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")
     _check_dims(ensemble, x, z)
     if b.m != ensemble.m:
         raise ValueError("measurement count does not match ensemble")
-    rows = ensemble.rows
-    P = _row_products(ensemble, z)
+    (P,) = _row_products(ensemble, z)
     absP = np.abs(P)
     safe = np.where(absP > 0.0, absP, 1.0)
     coeff = np.where(
@@ -218,11 +241,13 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
         -b.values.astype(np.complex128),
     )
     coeff = coeff / ensemble.row_norms_sq
-    stepped = z[None, :] - coeff[:, None] * rows
+    stepped = np.multiply(coeff[:, None], ensemble.rows)
+    np.subtract(z[None, :], stepped, out=stepped)
     overlaps = stepped @ x.conj()
     mags = np.abs(overlaps)
     phases = np.where(mags > 0.0, overlaps / np.where(mags > 0.0, mags, 1.0), 1.0)
-    diff = stepped - phases[:, None] * x[None, :]
+    diff = np.multiply(phases[:, None], x[None, :])
+    np.subtract(stepped, diff, out=diff)
     d2 = np.einsum("ij,ij->i", diff.real, diff.real) + np.einsum("ij,ij->i", diff.imag, diff.imag)
     return float(np.mean(d2))
 

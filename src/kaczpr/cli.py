@@ -45,7 +45,7 @@ from .verify import (
     check_restricted_ratio,
     check_truncated_moment,
     mc_F,
-    mc_G,
+    mc_G_reports,
     series_F,
 )
 
@@ -62,6 +62,15 @@ TAG_SCAN = 5
 FLOOR_DIST_SQ = 1e-24
 RATE_MARGIN = 0.03  # certified per-step decrement is RATE_MARGIN / n
 MIN_SCALE, MAX_SCALE = 1e-150, 1e150
+
+# the --lambda regime of each verify lemma that reads it (the library's own
+# domain checks, restated so that a rejection names the flag)
+_LAMBDA_REGIMES = {
+    "F": (lambda lam: lam >= 2.95, "at least 2.95"),
+    "G": (lambda lam: 0.0 <= lam <= 0.4, "in [0, 0.4]"),
+    "restricted-ratio": (lambda lam: lam >= 3.0, "at least 3"),
+    "truncated-moment": (lambda lam: 0.0 < lam <= 0.4, "in (0, 0.4]"),
+}
 
 
 @dataclass(frozen=True)
@@ -113,6 +122,12 @@ class ExperimentConfig:
                     "planted radius exceeds 0.01 * delta; pass --allow-radius-override "
                     "to run outside the certified regime"
                 )
+        if self.command == "verify" and self.lemma in _LAMBDA_REGIMES:
+            in_regime, text = _LAMBDA_REGIMES[self.lemma]
+            if not in_regime(self.lam):
+                raise ValueError(f"--lambda must be {text} for verify {self.lemma}")
+            if not -1.0 <= self.sigma <= 1.0:
+                raise ValueError("--sigma must lie in [-1, 1]")
         Model.parse(self.model)
         if self.init not in ("planted", "spectral", "zero"):
             raise ValueError(f"unknown init: {self.init!r}")
@@ -435,10 +450,7 @@ def _verify_reports(cfg: ExperimentConfig) -> list:
         return [report, agree_report]
     if name == "G":
         params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma)
-        return [
-            mc_G(params, cfg.samples, stream, bound="closed"),
-            mc_G(params, cfg.samples, stream, bound="loose"),
-        ]
+        return mc_G_reports(params, cfg.samples, stream, bounds=("closed", "loose"))
     if name == "covariance":
         return [check_covariance(cfg.n, cfg.m, cfg.delta, cfg.trials, stream)]
     if name == "restricted-ratio":
@@ -498,29 +510,67 @@ _DEFAULTS = {
 _INT_KEYS = {"n", "m", "m_over_n", "trials", "max_iters", "seed", "threads", "samples", "h_samples"}
 _FLOAT_KEYS = {"planted_radius", "delta", "scale", "ball_radius", "lam", "sigma"}
 _BOOL_KEYS = {"serial", "check", "allow_radius_override"}
+_STR_KEYS = {"model", "init", "out_dir"}
+_TRUE_TEXT, _FALSE_TEXT = ("1", "true", "yes", "on"), ("", "0", "false", "no", "off")
+# positional on the command line, so never read from a config file
+_POSITIONAL_KEYS = ("command", "lemma")
 
 
-def _coerce(key: str, value):
-    if value is None:
-        return None
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _BOOL_KEYS:
-        if isinstance(value, bool):
-            return value
-        return str(value).lower() in ("1", "true", "yes", "on")
+def _as_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError
+    return float(value)
+
+
+def _as_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    text = str(value).lower()
+    if text not in _TRUE_TEXT + _FALSE_TEXT:
+        raise ValueError
+    return text in _TRUE_TEXT
+
+
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError
     return value
+
+
+def _coerce(key: str, value, source: str):
+    """Convert one raw value from a config file or the environment.
+
+    `source` names where the value came from, for the error message.
+    """
+    if value is None:
+        raise ValueError(f"{source} is null; give a value or leave it out")
+    if key in _INT_KEYS:
+        convert, kind = _as_int, "an integer"
+    elif key in _FLOAT_KEYS:
+        convert, kind = _as_float, "a number"
+    elif key in _BOOL_KEYS:
+        convert, kind = _as_bool, "a boolean"
+    else:
+        convert, kind = _as_str, "a string"
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{source} must be {kind}, got {value!r}") from None
 
 
 def _env_overrides() -> dict:
     found = {}
-    keys = _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | {"model", "init", "out_dir"}
-    for key in keys:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
+    for key in _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS:
+        name = ENV_PREFIX + key.upper()
+        raw = os.environ.get(name)
         if raw is not None:
-            found[key] = _coerce(key, raw)
+            found[key] = _coerce(key, raw, name)
     return found
 
 
@@ -590,10 +640,14 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
     provided = set()
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError("--config must hold a JSON object")
         for key, val in loaded.items():
             if key not in values:
                 raise ValueError(f"unknown config key: {key!r}")
-            values[key] = _coerce(key, val)
+            if key in _POSITIONAL_KEYS:
+                raise ValueError(f"config key {key!r} is not allowed: it is a positional argument")
+            values[key] = _coerce(key, val, f"config key {key!r}")
             provided.add(key)
     env = _env_overrides()
     values.update(env)

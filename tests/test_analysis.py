@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from kaczpr import (
+    Ensemble,
+    Measurements,
     Model,
     RngStream,
     SolverTrace,
@@ -19,6 +21,7 @@ from kaczpr import (
     rsc_margin,
     sample_complex_gaussian,
 )
+from kaczpr.geometry import aligned_error, as_cvector
 from kaczpr.rng import complex_standard_normal
 from conftest import unit_signal
 
@@ -270,3 +273,273 @@ def test_contraction_stats_input_validation():
     no_dist.dist = None
     with pytest.raises(ValueError):
         contraction_stats([no_dist])
+
+
+# Reference forms of the margin and one-step quantities: every function
+# takes its own conjugate copy of the rows per product and recomputes what
+# it needs, as the plain composition of loss, directional_derivative and
+# margin_row_terms does.  The library shares one product per vector; these
+# tests hold it to the same bits and the same errors.
+
+_EPS = np.finfo(np.float64).eps
+
+
+def _ref_products(ensemble, v):
+    return ensemble.rows.conj() @ v
+
+
+def _ref_check_dims(ensemble, *vectors):
+    for v in vectors:
+        if v.shape[0] != ensemble.n:
+            raise ValueError(f"dimension mismatch: ensemble n={ensemble.n}, vector has {v.shape[0]}")
+
+
+def _ref_reject_zero_products(absP):
+    zero = np.flatnonzero(absP == 0.0)
+    if zero.size:
+        shown = ", ".join(str(int(j)) for j in zero[:10])
+        more = "..." if zero.size > 10 else ""
+        raise ValueError(
+            f"derivative undefined: a_j^* z = 0 for rows [{shown}{more}] "
+            f"({zero.size} of {absP.size})"
+        )
+
+
+def _ref_loss(ensemble, x, z):
+    x = as_cvector(x, "x")
+    z = as_cvector(z, "z")
+    _ref_check_dims(ensemble, x, z)
+    p = np.abs(_ref_products(ensemble, z))
+    q = np.abs(_ref_products(ensemble, x))
+    return float(np.mean((p - q) ** 2))
+
+
+def _ref_directional_derivative(ensemble, x, z, v):
+    x = as_cvector(x, "x")
+    z = as_cvector(z, "z")
+    v = as_cvector(v, "v")
+    _ref_check_dims(ensemble, x, z, v)
+    if not np.any(v):
+        raise ValueError("direction v must be nonzero")
+    P = _ref_products(ensemble, z)
+    absP = np.abs(P)
+    _ref_reject_zero_products(absP)
+    q = np.abs(_ref_products(ensemble, x))
+    Pv = _ref_products(ensemble, v)
+    cross = (Pv * P.conj()).real
+    return float(2.0 * np.mean((1.0 - q / absP) * cross))
+
+
+def _ref_margin_row_terms(ensemble, x, z):
+    x = as_cvector(x, "x")
+    z = as_cvector(z, "z")
+    _ref_check_dims(ensemble, x, z)
+    h = aligned_error(z, x)
+    P = _ref_products(ensemble, z)
+    absP = np.abs(P)
+    _ref_reject_zero_products(absP)
+    Q = _ref_products(ensemble, x)
+    q = np.abs(Q)
+    Ph = _ref_products(ensemble, h)
+    abs_h_sq = np.abs(Ph) ** 2
+    cross = (Ph.conj() * Q).real
+    den1 = absP * (absP + q)
+    den2 = absP * (absP + q) ** 2
+    return (
+        abs_h_sq
+        - 2.0 * q**2 * abs_h_sq / den1
+        + 2.0 * q * abs_h_sq * cross / den2
+        + 4.0 * q * cross**2 / den2
+    )
+
+
+def _ref_margin_row_bounds(ensemble, x, z, alpha=12.0):
+    if alpha <= 1.0:
+        raise ValueError("alpha must exceed 1")
+    x = as_cvector(x, "x")
+    z = as_cvector(z, "z")
+    terms = _ref_margin_row_terms(ensemble, x, z)
+    h = aligned_error(z, x)
+    Q = _ref_products(ensemble, x)
+    q = np.abs(Q)
+    Ph = _ref_products(ensemble, h)
+    abs_h = np.abs(Ph)
+    abs_h_sq = abs_h**2
+    cross = (Ph.conj() * Q).real
+    strong = q >= alpha * abs_h
+    c_gain = 4.0 * alpha**3 / ((alpha + 1.0) * (2.0 * alpha + 1.0) ** 2)
+    c_loss = (8.0 * alpha**2 - 5.0 * alpha + 1.0) / ((alpha - 1.0) * (2.0 * alpha - 1.0) ** 2)
+    ratio = np.where(q > 0, cross**2 / np.where(q > 0, q, 1.0) ** 2, 0.0)
+    bounds = np.where(strong, c_gain * ratio - c_loss * abs_h_sq, -3.0 * abs_h_sq)
+    return terms, bounds, strong
+
+
+def _ref_rsc_margin(ensemble, x, z, terms=_ref_margin_row_terms):
+    x = as_cvector(x, "x")
+    z = as_cvector(z, "z")
+    _ref_check_dims(ensemble, x, z)
+    h = aligned_error(z, x)
+    h_norm = float(np.linalg.norm(h))
+    if h_norm == 0.0:
+        raise ValueError("z lies on the solution circle; margin is undefined")
+    f = _ref_loss(ensemble, x, z)
+    v = z - x * np.exp(1j * optimal_phase(z, x))
+    d = _ref_directional_derivative(ensemble, x, z, v)
+    gap_direct = d - f
+    gap_rows = float(np.mean(terms(ensemble, x, z)))
+    scale = max(abs(gap_direct), abs(gap_rows))
+    xnorm = float(np.linalg.norm(x))
+    tol = 1e-8 * scale + 100.0 * _EPS * xnorm * h_norm
+    if abs(gap_direct - gap_rows) > tol:
+        raise ArithmeticError(
+            f"derivative-loss gap mismatch: direct {gap_direct!r} vs row sum {gap_rows!r}"
+        )
+    return (h_norm, f, d, gap_direct / h_norm**2)
+
+
+def _ref_expected_step(ensemble, b, x, z):
+    x = as_cvector(x, "x")
+    z = as_cvector(z, "z")
+    _ref_check_dims(ensemble, x, z)
+    if b.m != ensemble.m:
+        raise ValueError("measurement count does not match ensemble")
+    rows = ensemble.rows
+    P = _ref_products(ensemble, z)
+    absP = np.abs(P)
+    safe = np.where(absP > 0.0, absP, 1.0)
+    coeff = np.where(
+        absP > 0.0,
+        (1.0 - b.values / safe) * P,
+        -b.values.astype(np.complex128),
+    )
+    coeff = coeff / ensemble.row_norms_sq
+    stepped = z[None, :] - coeff[:, None] * rows
+    overlaps = stepped @ x.conj()
+    mags = np.abs(overlaps)
+    phases = np.where(mags > 0.0, overlaps / np.where(mags > 0.0, mags, 1.0), 1.0)
+    diff = stepped - phases[:, None] * x[None, :]
+    d2 = np.einsum("ij,ij->i", diff.real, diff.real) + np.einsum("ij,ij->i", diff.imag, diff.imag)
+    return float(np.mean(d2))
+
+
+def _bits(*values):
+    return [np.asarray(v, dtype=np.float64).view(np.uint64).tolist() for v in values]
+
+
+def _bit_cases():
+    """(ensemble, x, z) on both models at several sizes, near and far from x."""
+    for k, (n, m) in enumerate([(2, 5), (8, 64), (17, 300), (64, 1024), (128, 1024)]):
+        for model in (Model.UNIT_SPHERE, Model.COMPLEX_GAUSSIAN):
+            root = RngStream(31000 + k, 0 if model is Model.UNIT_SPHERE else 1)
+            e = make_ensemble(m, n, model, root.substream(1))
+            x = 3.0 * unit_signal(n, root.substream(2))
+            for i, radius in enumerate((1e-7, 0.005, 0.3)):
+                yield e, x, planted_init(x, radius, root.substream(3 + i))
+            yield e, x, sample_complex_gaussian(n, root.substream(9))
+
+
+def _block_ensemble():
+    """Rows 0..3 orthogonal to z = e_0, rows 4..7 not: a_j^* z = 0 exactly on half."""
+    root = RngStream(32000, 0)
+    rows = make_ensemble(8, 4, Model.UNIT_SPHERE, root.substream(1)).rows.copy()
+    rows[:4, 0] = 0.0
+    rows[:4] /= np.linalg.norm(rows[:4], axis=1)[:, None]
+    norms_sq = np.einsum("ij,ij->i", rows.real, rows.real) + np.einsum(
+        "ij,ij->i", rows.imag, rows.imag
+    )
+    e = Ensemble(rows=rows, model=Model.UNIT_SPHERE, row_norms_sq=norms_sq)
+    z = np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    return e, unit_signal(4, root.substream(2)), z
+
+
+def test_lemma_layer_matches_reference_forms_bit_for_bit():
+    for e, x, z in _bit_cases():
+        s = rsc_margin(e, x, z)
+        assert _bits(s.h_norm, s.f_value, s.directional, s.margin_gamma) == _bits(
+            *_ref_rsc_margin(e, x, z)
+        )
+        assert _bits(loss(e, x, z)) == _bits(_ref_loss(e, x, z))
+        v = z - x * np.exp(1j * optimal_phase(z, x))
+        assert _bits(directional_derivative(e, x, z, v)) == _bits(
+            _ref_directional_derivative(e, x, z, v)
+        )
+        assert _bits(margin_row_terms(e, x, z)) == _bits(_ref_margin_row_terms(e, x, z))
+        terms, bounds, strong = margin_row_bounds(e, x, z)
+        ref_terms, ref_bounds, ref_strong = _ref_margin_row_bounds(e, x, z)
+        assert _bits(terms, bounds) == _bits(ref_terms, ref_bounds)
+        assert np.array_equal(strong, ref_strong)
+        b = measure(e, x)
+        assert _bits(expected_step(e, b, x, z)) == _bits(_ref_expected_step(e, b, x, z))
+
+
+def test_expected_step_fallback_rows_match_reference_bit_for_bit():
+    e, x, z = _block_ensemble()
+    assert np.count_nonzero(e.rows.conj() @ z == 0.0) == 4  # the fallback branch runs
+    b = measure(e, x)
+    for start in (z, 0.5 * z, z + 1e-3 * x):
+        assert _bits(expected_step(e, b, x, start)) == _bits(_ref_expected_step(e, b, x, start))
+
+
+def _error_of(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    raise AssertionError("no error raised")
+
+
+def test_lemma_layer_error_paths_match_reference():
+    e = make_ensemble(8, 4, Model.UNIT_SPHERE, RngStream(33000, 0))
+    x = unit_signal(4, RngStream(33001, 0))
+    z = planted_init(x, 0.005, RngStream(33002, 0))
+    # v = z - x e^{i phase} rounds to exactly zero while h does not
+    x2 = np.array([0.10490011715303971 + 0.36159505490948474j,
+                   -0.535669373161111 + 1.3040000451301372j])
+    z2 = np.array([0.3447714017183196 - 0.15128680997000302j,
+                   1.3628535236159354 + 0.36053858075086304j])
+    assert np.linalg.norm(aligned_error(z2, x2)) > 0.0
+    assert not np.any(z2 - x2 * np.exp(1j * optimal_phase(z2, x2)))
+    e2 = make_ensemble(6, 2, Model.UNIT_SPHERE, RngStream(33003, 0))
+    eb, xb, zb = _block_ensemble()
+    bad = np.array([1.0, np.nan, 0.0, 0.0])
+    rsc_cases = [
+        (e, x, x),                  # on the solution circle
+        (e, x, z[:3]),              # dimension mismatch
+        (e, x, bad),                # non-finite z
+        (e, bad, z),                # non-finite x
+        (e, np.zeros(4), z),        # zero signal
+        (e2, x2, z2),               # zero direction
+        (eb, xb, zb),               # a_j^* z = 0 on some rows
+    ]
+    for case in rsc_cases:
+        assert _error_of(rsc_margin, *case) == _error_of(_ref_rsc_margin, *case)
+    for case in rsc_cases[1:5] + [(eb, xb, zb)]:
+        assert _error_of(margin_row_terms, *case) == _error_of(_ref_margin_row_terms, *case)
+        assert _error_of(margin_row_bounds, *case) == _error_of(_ref_margin_row_bounds, *case)
+    assert _error_of(margin_row_bounds, e, x, z, 1.0) == _error_of(
+        _ref_margin_row_bounds, e, x, z, 1.0
+    )
+    for v in (np.zeros(4), bad, np.ones(3)):
+        assert _error_of(directional_derivative, e, x, z, v) == _error_of(
+            _ref_directional_derivative, e, x, z, v
+        )
+    b = measure(e, x)
+    short = Measurements(values=b.values[:5])
+    for args in [(e, short, x, z), (e, b, x, z[:3]), (e, b, bad, z), (e, b, x, bad)]:
+        assert _error_of(expected_step, *args) == _error_of(_ref_expected_step, *args)
+
+
+def test_rsc_margin_gap_mismatch_raises_the_reference_error(monkeypatch):
+    # shift every row term by one: the cross-check must fire with the
+    # same message as the reference given the same shifted terms
+    import kaczpr.analysis as analysis
+
+    e = make_ensemble(64, 8, Model.UNIT_SPHERE, RngStream(34000, 0))
+    x = unit_signal(8, RngStream(34001, 0))
+    z = planted_init(x, 0.005, RngStream(34002, 0))
+    real_terms = analysis._row_terms
+    monkeypatch.setattr(analysis, "_row_terms", lambda *a: (real_terms(*a)[0] + 1.0, None, None))
+    shifted = lambda *a: _ref_margin_row_terms(*a) + 1.0  # noqa: E731
+    got = _error_of(rsc_margin, e, x, z)
+    assert got[0] is ArithmeticError
+    assert got == _error_of(_ref_rsc_margin, e, x, z, shifted)

@@ -442,3 +442,133 @@ def test_nonpositive_m_is_rejected_from_every_source(tmp_path, monkeypatch, caps
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
     assert f"{flag} must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_g_runs_one_estimate_for_both_ceilings(monkeypatch, capsys):
+    import kaczpr.verify as verify
+    from kaczpr import LemmaParams, RngStream, mc_G
+    from kaczpr.rng import GENERATOR_ID
+
+    calls = []
+    real = verify._mc_scalar
+    monkeypatch.setattr(verify, "_mc_scalar", lambda *a, **k: calls.append(a) or real(*a, **k))
+    args = ["verify", "G", "--lambda", "0.3", "--sigma", "0.5", "--samples", "20000", "--seed", "4"]
+    assert run_cli(args) == 0
+    assert len(calls) == 1
+    lines = capsys.readouterr().out.splitlines()
+    digest = config_hash(resolve_config("verify", {"lemma": "G", "lam": 0.3, "sigma": 0.5,
+                                                   "samples": 20000, "seed": 4}, None))
+    params = LemmaParams(lam=0.3, sigma=0.5)
+    expected = []
+    for bound in ("closed", "loose"):
+        doc = mc_G(params, 20000, RngStream(4, 0), bound=bound).to_dict()
+        doc.update({"seed": 4, "generator": GENERATOR_ID, "config_hash": digest})
+        expected.append(json.dumps(doc, sort_keys=True))
+    assert lines == expected
+
+
+@pytest.mark.parametrize("lemma, bad, good", [
+    ("F", "2.9", "3"), ("G", "3.0", "0.4"), ("G", "-0.1", "0"),
+    ("restricted-ratio", "2.5", "3"), ("truncated-moment", "0", "0.4"),
+    ("truncated-moment", "0.5", "0.1"),
+])
+def test_out_of_range_lambda_names_the_flag(capsys, lemma, bad, good):
+    small = ["--samples", "100", "--h-samples", "3", "--n", "4", "--m", "16", "--seed", "1"]
+    assert run_cli(["verify", lemma, "--lambda", bad, *small]) == 2
+    err = capsys.readouterr().err
+    assert "--lambda must be" in err and f"verify {lemma}" in err
+    # the range check is the library's: a value inside it gets past validation
+    resolve_config("verify", {"lemma": lemma, "lam": float(good)}, None)
+
+
+def test_verify_g_default_lambda_names_the_flag(capsys):
+    assert run_cli(["verify", "G", "--seed", "1"]) == 2
+    assert "--lambda must be in [0, 0.4] for verify G" in capsys.readouterr().err
+
+
+def test_out_of_range_sigma_names_the_flag(capsys):
+    assert run_cli(["verify", "G", "--lambda", "0.4", "--sigma", "1.5", "--seed", "1"]) == 2
+    assert "--sigma must lie in [-1, 1]" in capsys.readouterr().err
+
+
+# every key a config file accepts, with one value that cannot be coerced
+_CONFIG_KEYS = {
+    "n": "x", "m": "x", "m_over_n": 2.5, "trials": [1], "max_iters": True, "seed": "x",
+    "threads": {}, "samples": "1e3", "h_samples": 1.5, "model": 5, "init": ["planted"],
+    "out_dir": 7, "planted_radius": "x", "delta": [0.5], "scale": True, "ball_radius": "big",
+    "lam": {}, "sigma": "x", "serial": "ture", "check": 2, "allow_radius_override": [True],
+}
+
+
+def _run_with_config(tmp_path, doc, command="solve"):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    args = [command, "G"] if command == "verify" else [command]
+    return run_cli([*args, "--n", "8", "--trials", "1", "--max-iters", "5",
+                    "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_null_is_rejected_naming_the_key(tmp_path, capsys, key):
+    assert _run_with_config(tmp_path, {key: None}) == 2
+    assert f"config key {key!r} is null" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
+def test_config_value_that_fails_to_coerce_names_the_key(tmp_path, capsys, key):
+    assert _run_with_config(tmp_path, {key: _CONFIG_KEYS[key]}) == 2
+    assert f"config key {key!r} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("doc", [{"command": "baseline"}, {"lemma": "F"}])
+def test_config_cannot_set_positional_arguments(tmp_path, capsys, command, doc):
+    assert _run_with_config(tmp_path, doc, command) == 2
+    assert f"config key {next(iter(doc))!r} is not allowed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    assert _run_with_config(tmp_path, [1, 2]) == 2
+    assert "--config must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, value, kind", [
+    ("KACZPR_SEED", "x", "an integer"), ("KACZPR_CHECK", "maybe", "a boolean"),
+])
+def test_env_value_that_fails_to_coerce_names_the_variable(tmp_path, monkeypatch, capsys,
+                                                           name, value, kind):
+    monkeypatch.setenv(name, value)
+    assert run_cli(["solve", "--n", "8", "--trials", "1", "--out", str(tmp_path / "o")]) == 2
+    assert f"{name} must be {kind}, got {value!r}" in capsys.readouterr().err
+
+
+def test_boolean_spellings_from_config_and_environment(monkeypatch):
+    for text, expected in [("1", True), ("TRUE", True), ("yes", True), ("on", True),
+                           ("", False), ("0", False), ("False", False), ("no", False),
+                           ("off", False)]:
+        monkeypatch.setenv("KACZPR_CHECK", text)
+        assert resolve_config("solve", {}, None).check is expected
+
+
+# valid configs resolve to the hashes they had before key-by-key validation
+@pytest.mark.parametrize("command, cli, doc, digest", [
+    ("solve", {}, {"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1}, "75d5100995158b2a"),
+    ("solve", {}, {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
+                   "init": "spectral", "planted_radius": 0.001, "delta": 0.25, "seed": 5,
+                   "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
+                   "ball_radius": 1.0, "samples": 10, "h_samples": 20, "lam": 0.3,
+                   "sigma": 0.2, "check": True, "allow_radius_override": False},
+     "f69b231dbfe798df"),
+    ("baseline", {}, {"n": "12", "m": 8.0, "serial": "yes", "scale": "2.5", "check": 1},
+     "dd932da717fc83df"),
+    ("rsc-scan", {}, {"samples": 10, "ball_radius": 0.02, "n": 16, "m_over_n": 4},
+     "2f72b5e379cefde8"),
+    ("verify", {"lemma": "G"}, {"lam": 0.1, "sigma": 0.9, "samples": 1000}, "94ce3522062f614f"),
+])
+def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(doc))
+    assert config_hash(resolve_config(command, cli, str(cfg_file))) == digest

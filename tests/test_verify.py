@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.special
@@ -246,3 +248,61 @@ def test_lemma_params_validation_and_tau():
         LemmaParams(lam=3.0, delta=0.0)
     params = LemmaParams(lam=3.0, sigma=0.6)
     assert params.tau == pytest.approx(0.8)
+
+
+def _ref_mc_scalar(params, samples, rng, kind, mode, dim):
+    # the batch loop with every batch's arrays bound in the loop body
+    from kaczpr.initializers import real_overlap_direction
+    from kaczpr.rng import complex_standard_normal
+    from kaczpr.verify import _BATCH
+
+    gen = rng.generator()
+    lam, sigma, tau = params.lam, params.sigma, params.tau
+    if mode == "full":
+        x = complex_standard_normal(dim, gen)
+        x /= np.linalg.norm(x)
+        h = real_overlap_direction(x, gen)
+        overlap = float(np.vdot(x, h).real)
+        perp = h - overlap * x
+        h = sigma * x + tau * perp / np.linalg.norm(perp)
+    total = 0.0
+    total_sq = 0.0
+    left = samples
+    while left > 0:
+        chunk = min(left, _BATCH)
+        if mode == "reduced":
+            xi1 = complex_standard_normal(chunk, gen)
+            xi2 = complex_standard_normal(chunk, gen)
+            phi = 2.0 * np.pi * gen.random(chunk)
+            xs_x = sigma * xi1.conj() + tau * np.exp(1j * phi) * xi2.conj()
+            hs_xi = xi1
+            xs_h = xi1.conj()
+        else:
+            xi = complex_standard_normal(chunk * dim, gen).reshape(chunk, dim)
+            xs_x = xi.conj() @ x
+            xs_h = xi.conj() @ h
+            hs_xi = xs_h.conj()
+        if kind == "F":
+            mags = np.abs(xs_x)
+            keep = lam * mags >= np.abs(xs_h)
+            safe = np.where(mags > 0.0, mags, 1.0)
+            vals = np.where(keep & (mags > 0.0), (hs_xi * xs_x).real ** 2 / safe**2, 0.0)
+        else:
+            vals = np.abs(xs_h) ** 2 * (np.abs(xs_x) <= lam * np.abs(xs_h))
+        total += float(vals.sum())
+        total_sq += float((vals * vals).sum())
+        left -= chunk
+    mean = total / samples
+    return mean, math.sqrt(max(0.0, total_sq / samples - mean**2) / samples)
+
+
+@pytest.mark.parametrize("kind, lam", [("F", 3.0), ("G", 0.4)])
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_mc_scalar_matches_reference_loop_bit_for_bit(monkeypatch, kind, lam, mode):
+    import kaczpr.verify as verify
+
+    monkeypatch.setattr(verify, "_BATCH", 1000)  # several batches and a short last one
+    params = LemmaParams(lam=lam, sigma=0.6)
+    got = verify._mc_scalar(params, 3500, RngStream(207, 0), kind, mode, 5)
+    want = _ref_mc_scalar(params, 3500, RngStream(207, 0), kind, mode, 5)
+    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()

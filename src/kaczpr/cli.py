@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -63,13 +64,26 @@ FLOOR_DIST_SQ = 1e-24
 RATE_MARGIN = 0.03  # certified per-step decrement is RATE_MARGIN / n
 MIN_SCALE, MAX_SCALE = 1e-150, 1e150
 
-# the --lambda regime of each verify lemma that reads it (the library's own
-# domain checks, restated so that a rejection names the flag)
+_ALL = ("solve", "baseline", "rsc-scan", "verify")
+_SOLVERS = ("solve", "baseline")
+_ANY_INIT = ("planted", "spectral", "zero")
+_LEMMAS = ("F", "G", "covariance", "restricted-ratio", "truncated-moment")
+
+# Rules that tie an option to another one or to the run (a command, or "verify"
+# and its lemma), which the option table cannot state.  The regime of lam for
+# each lemma that reads it restates the library's own domain check, so that a
+# rejection names the flag:
 _LAMBDA_REGIMES = {
-    "F": (lambda lam: lam >= 2.95, "at least 2.95"),
-    "G": (lambda lam: 0.0 <= lam <= 0.4, "in [0, 0.4]"),
-    "restricted-ratio": (lambda lam: lam >= 3.0, "at least 3"),
-    "truncated-moment": (lambda lam: 0.0 < lam <= 0.4, "in (0, 0.4]"),
+    "verify F": (lambda lam: lam >= 2.95, "at least 2.95"),
+    "verify G": (lambda lam: 0.0 <= lam <= 0.4, "in [0, 0.4]"),
+    "verify restricted-ratio": (lambda lam: lam >= 3.0, "at least 3"),
+    "verify truncated-moment": (lambda lam: 0.0 < lam <= 0.4, "in (0, 0.4]"),
+}
+# the count a run needs at least one of
+_NEEDS_ONE = {
+    "solve": "trials", "baseline": "trials", "verify covariance": "trials",
+    "verify F": "samples", "verify G": "samples",
+    "verify restricted-ratio": "h_samples", "verify truncated-moment": "h_samples",
 }
 
 
@@ -101,36 +115,146 @@ class ExperimentConfig:
     allow_radius_override: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.trials < 0 or self.max_iters < 0:
-            raise ValueError("counts must be positive")
-        if self.m < 1:
-            raise ValueError("--m must be at least 1")
-        if self.command in ("solve", "baseline") and self.trials < 1:
-            raise ValueError("need at least one trial")
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.threads < 1:
-            raise ValueError("--threads must be at least 1")
-        if self.samples < 0:
-            raise ValueError("--samples must be nonnegative")
-        # squared distances up to (2 * scale)^2 must stay representable
-        if not MIN_SCALE <= self.scale <= MAX_SCALE:
-            raise ValueError(f"--scale must be finite and lie in [{MIN_SCALE:g}, {MAX_SCALE:g}]")
-        if self.command in ("solve",) and self.init == "planted":
-            if self.planted_radius > 0.01 * self.delta + 1e-15 and not self.allow_radius_override:
-                raise ValueError(
-                    "planted radius exceeds 0.01 * delta; pass --allow-radius-override "
-                    "to run outside the certified regime"
-                )
-        if self.command == "verify" and self.lemma in _LAMBDA_REGIMES:
-            in_regime, text = _LAMBDA_REGIMES[self.lemma]
+        for opt in _OPTIONS:
+            if not opt.times_n:
+                opt.check(getattr(self, opt.key), self.command)
+        run = f"verify {self.lemma}" if self.command == "verify" else self.command
+        count = _NEEDS_ONE.get(run)
+        if count is not None and getattr(self, count) < 1:
+            raise ValueError(f"{_FLAGS[count]} must be at least 1 for {run}")
+        if run in _LAMBDA_REGIMES:
+            in_regime, text = _LAMBDA_REGIMES[run]
             if not in_regime(self.lam):
-                raise ValueError(f"--lambda must be {text} for verify {self.lemma}")
-            if not -1.0 <= self.sigma <= 1.0:
-                raise ValueError("--sigma must lie in [-1, 1]")
-        Model.parse(self.model)
-        if self.init not in ("planted", "spectral", "zero"):
-            raise ValueError(f"unknown init: {self.init!r}")
+                raise ValueError(f"{_FLAGS['lam']} must be {text} for {run}")
+        # the exit-probability bound holds only for starts within 0.01 * delta
+        if run == "solve" and self.init == "planted" and not self.allow_radius_override:
+            if self.planted_radius > 0.01 * self.delta + 1e-15:
+                raise ValueError(
+                    f"{_FLAGS['planted_radius']} exceeds 0.01 * {_FLAGS['delta']}; pass "
+                    f"{_FLAGS['allow_radius_override']} to run outside the certified regime"
+                )
+
+
+def _for_command(value, command: str):
+    """`value`, or its entry for `command` where it is a {command: value} dict."""
+    return value.get(command) if isinstance(value, dict) else value
+
+
+def _within(lo, hi=math.inf) -> tuple:
+    """The test `lo <= v <= hi`, which NaN fails, and its text."""
+    text = f"be at least {lo}" if hi == math.inf else f"lie in [{lo:g}, {hi:g}]"
+    return (lambda v: lo <= v <= hi), text
+
+
+def _as_int(value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError
+    return int(value)
+
+
+def _as_float(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError
+    return float(value)
+
+
+def _as_bool(value) -> bool:
+    text = str(value).lower()  # a JSON true or false reads as its own name
+    if text in ("1", "true", "yes", "on"):
+        return True
+    if text in ("", "0", "false", "no", "off"):
+        return False
+    raise ValueError
+
+
+def _as_str(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError
+    return value
+
+
+_CONVERTERS = {
+    int: (_as_int, "an integer"),
+    float: (_as_float, "a number"),
+    bool: (_as_bool, "a boolean"),
+    str: (_as_str, "a string"),
+}
+
+
+class _Option(NamedTuple):
+    """One setting, read from its flag, its KACZPR_* variable or its config key."""
+
+    key: str  # the ExperimentConfig field, the config key and the variable's suffix
+    kind: type  # int, float, bool or str
+    flag: str
+    commands: tuple  # the subcommands whose parser takes the flag
+    default: object = None  # or {command: value}; None keeps the field's default or derives it
+    valid: tuple | None = None  # a (test, text) pair; every test fails on NaN
+    choices: tuple | dict = ()  # the allowed strings, or {command: strings}
+    times_n: str = ""  # the field this option sets as a multiple of n, being no field itself
+
+    def check(self, value, command: str) -> None:
+        """Reject an out-of-range value, naming the flag."""
+        allowed = _for_command(self.choices, command)
+        if allowed and value not in allowed:
+            per = f" for {command}" if isinstance(self.choices, dict) else ""
+            raise ValueError(f"{self.flag} must be one of {', '.join(allowed)}{per}, "
+                             f"got {value!r}")
+        if self.valid is not None and not self.valid[0](value):
+            raise ValueError(f"{self.flag} must {self.valid[1]}, got {value!r}")
+
+    def coerce(self, value, source: str):
+        """Convert a raw config-file or environment value; `source` names it in errors."""
+        if value is None:
+            raise ValueError(f"{source} is null; give a value or leave it out")
+        convert, kind = _CONVERTERS[self.kind]
+        try:
+            return convert(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"{source} must be {kind}, got {value!r}") from None
+
+
+_OPTIONS = (
+    _Option("seed", int, "--seed", _ALL, 7,
+            (lambda v: 0 <= v < 2**64, "be an unsigned 64-bit integer")),
+    _Option("out_dir", str, "--out", _ALL,
+            {"solve": "results/solve", "baseline": "results/baseline",
+             "rsc-scan": "results/rsc_scan", "verify": ""}),
+    _Option("threads", int, "--threads", _ALL, None, _within(1)),
+    _Option("serial", bool, "--serial", _ALL),
+    _Option("n", int, "--n", _ALL, {"solve": 128, "baseline": 32, "rsc-scan": 64, "verify": 16},
+            _within(1)),
+    _Option("m", int, "--m", _ALL, {"baseline": 512, "verify": 1024}, _within(1)),
+    # an explicit m wins; an explicit m_over_n beats a command's default m
+    _Option("m_over_n", int, "--m-over-n", _ALL, {"solve": 8, "rsc-scan": 16}, _within(1),
+            times_n="m"),
+    _Option("trials", int, "--trials", _ALL,
+            {"solve": 200, "baseline": 50, "rsc-scan": 1, "verify": 50}, _within(0)),
+    _Option("max_iters", int, "--max-iters", _ALL, None, _within(0)),
+    _Option("delta", float, "--delta", _ALL,
+            {"solve": 0.5, "baseline": 1.0, "rsc-scan": 0.5, "verify": 0.5},
+            (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
+    _Option("model", str, "--model", _ALL, "sphere", choices=tuple(m.value for m in Model)),
+    # squared distances up to (2 * scale)^2 must stay representable
+    _Option("scale", float, "--scale", _ALL, None, _within(MIN_SCALE, MAX_SCALE)),
+    # rsc-scan and verify read no init, so they take any that solve or baseline takes
+    _Option("init", str, "--init", _SOLVERS,
+            {"solve": "planted", "baseline": "zero", "rsc-scan": "planted", "verify": "planted"},
+            choices={"solve": ("planted", "spectral"), "baseline": ("zero", "planted"),
+                     "rsc-scan": _ANY_INIT, "verify": _ANY_INIT}),
+    _Option("planted_radius", float, "--radius", _SOLVERS,
+            {"solve": 0.005, "baseline": 0.0, "rsc-scan": 0.0, "verify": 0.0},
+            (lambda v: 0.0 <= v < math.inf, "be finite and at least 0")),
+    _Option("lam", float, "--lambda", ("verify",), None, (math.isfinite, "be finite")),
+    _Option("sigma", float, "--sigma", ("verify",), None, _within(-1.0, 1.0)),
+    _Option("samples", int, "--samples", ("rsc-scan", "verify"), {"verify": 10**6}, _within(0)),
+    _Option("ball_radius", float, "--ball", ("solve", "rsc-scan"), None, _within(0.0, 1.0)),
+    _Option("h_samples", int, "--h-samples", ("verify",), None, _within(0)),
+    _Option("check", bool, "--check", _SOLVERS),
+    _Option("allow_radius_override", bool, "--allow-radius-override", ("solve",)),
+)
+_BY_KEY = {opt.key: opt for opt in _OPTIONS}
+_FLAGS = {opt.key: opt.flag for opt in _OPTIONS}
 
 
 # execution details do not affect results and stay out of hashes and sidecars
@@ -385,13 +509,12 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
         elif s == 1:
             direction, radius = -xhat, cfg.ball_radius
         elif s == 2:
-            u = complex_standard_normal(cfg.n, gen)
-            u = u - np.vdot(xhat, u) * xhat
-            norm = np.linalg.norm(u)
-            while norm == 0.0:
+            while True:
                 u = complex_standard_normal(cfg.n, gen)
                 u = u - np.vdot(xhat, u) * xhat
                 norm = np.linalg.norm(u)
+                if norm > 0.0:
+                    break
             direction, radius = u / norm, cfg.ball_radius
         else:
             direction = real_overlap_direction(x, gen)
@@ -480,114 +603,13 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 _COMMANDS = {
-    "solve": cmd_solve,
-    "baseline": cmd_baseline,
-    "rsc-scan": cmd_rsc_scan,
-    "verify": cmd_verify,
+    "solve": (cmd_solve, "convergence-rate trials"),
+    "baseline": (cmd_baseline, "linear row-projection baseline"),
+    "rsc-scan": (cmd_rsc_scan, "curvature margin scan in the trust ball"),
+    "verify": (cmd_verify, "Monte Carlo bound reports"),
 }
-
-_DEFAULTS = {
-    "solve": dict(
-        n=128, m_over_n=8, model="sphere", trials=200, init="planted",
-        planted_radius=0.005, delta=0.5, seed=7, out_dir="results/solve",
-    ),
-    "baseline": dict(
-        n=32, m=512, model="sphere", trials=50, init="zero",
-        planted_radius=0.0, delta=1.0, seed=7, out_dir="results/baseline",
-    ),
-    "rsc-scan": dict(
-        n=64, m_over_n=16, model="sphere", trials=1, samples=1000,
-        delta=0.5, seed=7, out_dir="results/rsc_scan", init="planted",
-        planted_radius=0.0,
-    ),
-    "verify": dict(
-        n=16, m=1024, model="sphere", trials=50, samples=10**6,
-        h_samples=500, delta=0.5, seed=7, out_dir="", lam=3.0, sigma=0.0,
-        init="planted", planted_radius=0.0,
-    ),
-}
-
-_INT_KEYS = {"n", "m", "m_over_n", "trials", "max_iters", "seed", "threads", "samples", "h_samples"}
-_FLOAT_KEYS = {"planted_radius", "delta", "scale", "ball_radius", "lam", "sigma"}
-_BOOL_KEYS = {"serial", "check", "allow_radius_override"}
-_STR_KEYS = {"model", "init", "out_dir"}
-_TRUE_TEXT, _FALSE_TEXT = ("1", "true", "yes", "on"), ("", "0", "false", "no", "off")
 # positional on the command line, so never read from a config file
 _POSITIONAL_KEYS = ("command", "lemma")
-
-
-def _as_int(value) -> int:
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError
-    return int(value)
-
-
-def _as_float(value) -> float:
-    if isinstance(value, bool):
-        raise ValueError
-    return float(value)
-
-
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).lower()
-    if text not in _TRUE_TEXT + _FALSE_TEXT:
-        raise ValueError
-    return text in _TRUE_TEXT
-
-
-def _as_str(value) -> str:
-    if not isinstance(value, str):
-        raise ValueError
-    return value
-
-
-def _coerce(key: str, value, source: str):
-    """Convert one raw value from a config file or the environment.
-
-    `source` names where the value came from, for the error message.
-    """
-    if value is None:
-        raise ValueError(f"{source} is null; give a value or leave it out")
-    if key in _INT_KEYS:
-        convert, kind = _as_int, "an integer"
-    elif key in _FLOAT_KEYS:
-        convert, kind = _as_float, "a number"
-    elif key in _BOOL_KEYS:
-        convert, kind = _as_bool, "a boolean"
-    else:
-        convert, kind = _as_str, "a string"
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{source} must be {kind}, got {value!r}") from None
-
-
-def _env_overrides() -> dict:
-    found = {}
-    for key in _INT_KEYS | _FLOAT_KEYS | _BOOL_KEYS | _STR_KEYS:
-        name = ENV_PREFIX + key.upper()
-        raw = os.environ.get(name)
-        if raw is not None:
-            found[key] = _coerce(key, raw, name)
-    return found
-
-
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", type=str, default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", dest="out_dir", type=str, default=None)
-    p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--serial", action="store_true", default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--m-over-n", dest="m_over_n", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--model", choices=["sphere", "gaussian"], default=None)
-    p.add_argument("--scale", type=float, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -596,90 +618,65 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Phaseless row-action solver experiments and bound checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="convergence-rate trials")
-    _add_common(p_solve)
-    p_solve.add_argument("--init", choices=["planted", "spectral"], default=None)
-    p_solve.add_argument("--radius", dest="planted_radius", type=float, default=None)
-    p_solve.add_argument("--ball", dest="ball_radius", type=float, default=None)
-    p_solve.add_argument("--check", action="store_true", default=None)
-    p_solve.add_argument("--allow-radius-override", action="store_true", default=None,
-                         dest="allow_radius_override")
-
-    p_base = sub.add_parser("baseline", help="linear row-projection baseline")
-    _add_common(p_base)
-    p_base.add_argument("--init", choices=["zero", "planted"], default=None)
-    p_base.add_argument("--radius", dest="planted_radius", type=float, default=None)
-    p_base.add_argument("--check", action="store_true", default=None)
-
-    p_scan = sub.add_parser("rsc-scan", help="curvature margin scan in the trust ball")
-    _add_common(p_scan)
-    p_scan.add_argument("--samples", type=int, default=None)
-    p_scan.add_argument("--ball", dest="ball_radius", type=float, default=None)
-
-    p_ver = sub.add_parser("verify", help="Monte Carlo bound reports")
-    p_ver.add_argument("lemma", choices=["F", "G", "covariance", "restricted-ratio", "truncated-moment"])
-    _add_common(p_ver)
-    p_ver.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_ver.add_argument("--sigma", type=float, default=None)
-    p_ver.add_argument("--samples", type=int, default=None)
-    p_ver.add_argument("--h-samples", dest="h_samples", type=int, default=None)
-
+    for command, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if command == "verify":
+            p.add_argument("lemma", choices=_LEMMAS)
+        p.add_argument("--config", type=str, default=None, help="JSON config file")
+        for opt in _OPTIONS:
+            if command not in opt.commands:
+                continue
+            if opt.kind is bool:
+                p.add_argument(opt.flag, dest=opt.key, action="store_true", default=None)
+            else:
+                p.add_argument(opt.flag, dest=opt.key, type=opt.kind, default=None,
+                               choices=_for_command(opt.choices, command) or None)
     return parser
 
 
 def resolve_config(command: str, cli_values: dict, config_path: str | None) -> ExperimentConfig:
-    values = dict(
-        command=command, n=64, m=None, m_over_n=None, model="sphere", trials=1,
-        max_iters=None, init="planted", planted_radius=0.005, delta=0.5, seed=0,
-        out_dir="results", threads=1, serial=False, scale=1.0, ball_radius=0.01,
-        samples=1000, h_samples=500, lam=3.0, sigma=0.0, lemma="", check=False,
-        allow_radius_override=False,
-    )
-    values.update(_DEFAULTS[command])
+    values = {opt.key: _for_command(opt.default, command) for opt in _OPTIONS}
     provided = set()
     if config_path:
         loaded = json.loads(Path(config_path).read_text())
         if not isinstance(loaded, dict):
             raise ValueError("--config must hold a JSON object")
         for key, val in loaded.items():
-            if key not in values:
-                raise ValueError(f"unknown config key: {key!r}")
             if key in _POSITIONAL_KEYS:
                 raise ValueError(f"config key {key!r} is not allowed: it is a positional argument")
-            values[key] = _coerce(key, val, f"config key {key!r}")
+            if key not in values:
+                raise ValueError(f"unknown config key: {key!r}")
+            values[key] = _BY_KEY[key].coerce(val, f"config key {key!r}")
             provided.add(key)
-    env = _env_overrides()
-    values.update(env)
-    provided.update(env)
+    for opt in _OPTIONS:
+        name = ENV_PREFIX + opt.key.upper()
+        if name in os.environ:
+            values[opt.key] = opt.coerce(os.environ[name], name)
+            provided.add(opt.key)
     for key, val in cli_values.items():
         if val is not None and key in values:
             values[key] = val
             provided.add(key)
 
-    ratio = values.pop("m_over_n")
-    if ratio is not None and ratio < 1:
-        raise ValueError("--m-over-n must be at least 1")
-    # an explicit m wins; an explicit m_over_n beats a command's default m
-    if values["m"] is None or ("m_over_n" in provided and "m" not in provided):
-        values["m"] = (16 if ratio is None else ratio) * values["n"]
-    if values.get("max_iters") is None:
-        factor = 50 if command == "baseline" else 40
-        values["max_iters"] = factor * values["n"]
-    return ExperimentConfig(**values)
+    for opt in _OPTIONS:
+        ratio = values.pop(opt.key) if opt.times_n else None
+        if ratio is None:
+            continue
+        opt.check(ratio, command)
+        if values[opt.times_n] is None or (opt.key in provided and opt.times_n not in provided):
+            values[opt.times_n] = ratio * values["n"]
+    if values["max_iters"] is None:
+        values["max_iters"] = (50 if command == "baseline" else 40) * values["n"]
+    given = {key: val for key, val in values.items() if val is not None}
+    return ExperimentConfig(command=command, lemma=cli_values.get("lemma") or "", **given)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     cli_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = resolve_config(args.command, cli_values, args.config)
-    except (ValueError, OSError) as exc:
-        print(f"kaczpr: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"kaczpr: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,19 @@
+import contextlib
+import io
 import json
+import os
 import pickle
 import re
+import string
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczpr.cli import ExperimentConfig, config_hash, main, resolve_config
 
@@ -567,8 +577,166 @@ def test_boolean_spellings_from_config_and_environment(monkeypatch):
     ("rsc-scan", {}, {"samples": 10, "ball_radius": 0.02, "n": 16, "m_over_n": 4},
      "2f72b5e379cefde8"),
     ("verify", {"lemma": "G"}, {"lam": 0.1, "sigma": 0.9, "samples": 1000}, "94ce3522062f614f"),
+    # each command's defaults, with an empty config file
+    ("solve", {}, {}, "e177d3c4486dbed9"),
+    ("baseline", {}, {}, "2d4d10e0f1581034"),
+    ("rsc-scan", {}, {}, "a668a74141410aee"),
+    ("verify", {"lemma": "F"}, {}, "5fe591f825525f32"),
+    ("verify", {"lemma": "G", "lam": 0.4}, {}, "2f053d2f5e519ad8"),
+    ("verify", {"lemma": "covariance"}, {}, "38b937e6c6a96d71"),
+    ("verify", {"lemma": "restricted-ratio"}, {}, "ec826cc29a8a473c"),
+    ("verify", {"lemma": "truncated-moment", "lam": 0.4}, {}, "fe6a5b5f3cda04df"),
 ])
 def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
     assert config_hash(resolve_config(command, cli, str(cfg_file))) == digest
+
+
+# Rejections that once came late (after --out was made), named an internal
+# field or no flag at all, or never came: an out-of-range value from any
+# source must exit 2 and name its flag before anything is written.
+@pytest.mark.parametrize("args, env, doc, flag", [
+    (["solve"], {"KACZPR_INIT": "zero"}, {}, "--init"),
+    (["baseline"], {}, {"init": "spectral"}, "--init"),
+    (["solve"], {}, {"planted_radius": float("nan")}, "--radius"),
+    (["solve", "--ball", "nan"], {}, {}, "--ball"),
+    (["solve", "--ball", "2"], {}, {}, "--ball"),
+    (["rsc-scan", "--ball", "nan"], {}, {}, "--ball"),
+    (["verify", "F", "--lambda", "inf"], {}, {}, "--lambda"),
+    (["solve", "--n", "0"], {}, {}, "--n"),
+    (["solve", "--max-iters", "-1"], {}, {}, "--max-iters"),
+    (["solve", "--seed", "-1"], {}, {}, "--seed"),
+    (["verify", "covariance", "--trials", "0"], {}, {}, "--trials"),
+    (["verify", "F", "--samples", "0"], {}, {}, "--samples"),
+    (["verify", "G", "--lambda", "0.4", "--samples", "0"], {}, {}, "--samples"),
+    (["verify", "restricted-ratio", "--h-samples", "-1"], {}, {}, "--h-samples"),
+    (["verify", "truncated-moment", "--lambda", "0.4", "--h-samples", "0"], {}, {}, "--h-samples"),
+    (["baseline", "--trials", "0"], {}, {}, "--trials"),
+    (["solve"], {"KACZPR_MODEL": "foo"}, {}, "--model"),
+])
+def test_out_of_range_values_name_the_flag(tmp_path, monkeypatch, capsys, args, env, doc, flag):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if doc:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        args = [*args, "--config", str(tmp_path / "cfg.json")]
+    assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
+    assert re.search(rf"kaczpr: {re.escape(flag)}(?![\w-])", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+_NAN, _INF, _TINY = float("nan"), float("inf"), sys.float_info.min
+_WORDS = st.text(string.ascii_letters + string.digits + "_-", max_size=10)
+
+
+def _floats_outside(lo, hi):
+    """NaN and floats below lo or above hi, with zero bounds kept exact."""
+    below = st.floats(max_value=-_TINY) if lo == 0.0 else st.floats(max_value=lo, exclude_max=True)
+    above = st.just(_INF) if hi == _INF else st.floats(min_value=hi, exclude_min=True)
+    return st.just(_NAN) | below | above
+
+
+# (field, flag, command, out-of-range values, in-range values), stated apart
+# from the CLI's own table; verify runs the covariance lemma, which reads no
+# --lambda, --sigma or --h-samples
+_RANGES = [
+    ("seed", "--seed", "solve", st.integers(max_value=-1) | st.integers(min_value=2**64),
+     st.integers(0, 2**64 - 1)),
+    ("threads", "--threads", "solve", st.integers(max_value=0), st.integers(1, 64)),
+    ("n", "--n", "solve", st.integers(max_value=0), st.integers(1, 10**6)),
+    ("m", "--m", "solve", st.integers(max_value=0), st.integers(1, 10**6)),
+    ("m_over_n", "--m-over-n", "solve", st.integers(max_value=0), st.integers(1, 64)),
+    ("trials", "--trials", "rsc-scan", st.integers(max_value=-1), st.integers(0, 10**4)),
+    ("max_iters", "--max-iters", "solve", st.integers(max_value=-1), st.integers(0, 10**6)),
+    ("samples", "--samples", "rsc-scan", st.integers(max_value=-1), st.integers(0, 10**6)),
+    ("h_samples", "--h-samples", "verify", st.integers(max_value=-1), st.integers(0, 10**6)),
+    ("delta", "--delta", "baseline",
+     st.just(_NAN) | st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
+     st.floats(_TINY, 1.0)),
+    ("planted_radius", "--radius", "baseline", _floats_outside(0.0, _INF),
+     st.floats(0.0, allow_infinity=False)),
+    ("ball_radius", "--ball", "rsc-scan", _floats_outside(0.0, 1.0), st.floats(0.0, 1.0)),
+    ("scale", "--scale", "solve", _floats_outside(1e-150, 1e150), st.floats(1e-150, 1e150)),
+    ("lam", "--lambda", "verify", st.sampled_from([_NAN, _INF, -_INF]),
+     st.floats(allow_nan=False, allow_infinity=False)),
+    ("sigma", "--sigma", "verify", _floats_outside(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    ("model", "--model", "solve", _WORDS.filter(lambda w: w not in ("sphere", "gaussian")),
+     st.sampled_from(["sphere", "gaussian"])),
+    ("init", "--init", "solve", _WORDS.filter(lambda w: w not in ("planted", "spectral")),
+     st.sampled_from(["planted", "spectral"])),
+    ("init", "--init", "baseline", _WORDS.filter(lambda w: w not in ("zero", "planted")),
+     st.sampled_from(["zero", "planted"])),
+]
+_RANGE_IDS = [f"{flag}-{command}" for _, flag, command, _, _ in _RANGES]
+# small runs, so that a value wrongly let through costs little
+_SMALL = {"solve": {"n": 8, "trials": 1, "max_iters": 5}, "baseline": {"n": 8, "trials": 1},
+          "rsc-scan": {"n": 8, "samples": 2}, "verify": {"n": 4, "m": 16, "trials": 1}}
+
+
+def test_every_option_with_a_range_has_a_range_case():
+    from kaczpr.cli import _OPTIONS
+
+    ranged = {opt.key for opt in _OPTIONS if opt.valid or opt.choices}
+    assert ranged == {key for key, *_ in _RANGES}
+
+
+def _positional(command):
+    return [command, "covariance"] if command == "verify" else [command]
+
+
+def _text(value):
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a value outside --model's or --init's choices
+        return exc.code
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("key, flag, command, bad, good", _RANGES, ids=_RANGE_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, command, bad, good, data):
+    value = data.draw(bad)
+    small = [f"--{k.replace('_', '-')}={v}" for k, v in _SMALL[command].items() if k != key]
+    args, env = [*_positional(command), *small], {}
+    with tempfile.TemporaryDirectory() as tmp:
+        if source == "flag":
+            args.append(f"{flag}={_text(value)}")
+        elif source == "env":
+            env["KACZPR_" + key.upper()] = _text(value)
+        else:
+            Path(tmp, "cfg.json").write_text(json.dumps({key: value}))
+            args += ["--config", str(Path(tmp, "cfg.json"))]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err):
+            code = _exit_code([*args, "--out", str(Path(tmp, "out"))])
+        assert code == 2
+        assert re.search(rf"{re.escape(flag)}(?![\w-])", err.getvalue())
+        assert not Path(tmp, "out").exists()
+
+
+@pytest.mark.parametrize("key, flag, command, bad, good", _RANGES, ids=_RANGE_IDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_in_range_value_resolves_alike_from_every_source(key, flag, command, bad, good, data):
+    from kaczpr.cli import _build_parser
+
+    value = data.draw(good)
+    lemma = {"lemma": "covariance"} if command == "verify" else {}
+    args = vars(_build_parser().parse_args([*_positional(command), f"{flag}={_text(value)}"]))
+    from_flag = resolve_config(command, {k: v for k, v in args.items() if k != "config"}, None)
+    with mock.patch.dict(os.environ, {"KACZPR_" + key.upper(): _text(value)}):
+        from_env = resolve_config(command, lemma, None)
+    with tempfile.TemporaryDirectory() as tmp:
+        Path(tmp, "cfg.json").write_text(json.dumps({key: value}))
+        from_config = resolve_config(command, lemma, str(Path(tmp, "cfg.json")))
+    assert from_flag == from_env == from_config
+    if key == "m_over_n":
+        assert from_flag.m == value * from_flag.n
+    else:
+        assert getattr(from_flag, key) == value

@@ -12,3 +12,10 @@ def test_quick_start_snippet_runs_and_claims_hold(capsys):
     assert final_dist <= 1e-6
     assert margin >= 0.03 / 64
     assert ratio <= 1.0 - 0.03 / 64
+
+
+def test_options_table_lists_every_flag():
+    from kaczpr.cli import _OPTIONS
+
+    rows = re.findall(r"^\| `(--[\w-]+)` \|", README.read_text(), re.M)
+    assert sorted(rows) == sorted(opt.flag for opt in _OPTIONS)

@@ -262,14 +262,24 @@ class ContractionStats:
     trials_included: int
 
 
-def _mean_dist_sq(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean over trials (rows) of squared distances, and its step ratios
+def _mean_dist_sq(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over trials of squared distances, and its step ratios
     mean[k+1] / mean[k].
 
-    The caller squares, so its unsquared copy can be freed first.  A zero
-    mean gives an inf or nan ratio, left for the caller to mask.
+    `rows` holds one distance array per trial.  Their squares are summed in
+    trial order and divided by the count, which gives the bits of
+    ``(np.stack(rows) ** 2).mean(axis=0)`` without the stacked copies.  A
+    single column is the exception: numpy sums it pairwise, so that case
+    is computed as written.  A zero mean gives an inf or nan ratio, left
+    for the caller to mask.
     """
-    mean_d2 = d2.mean(axis=0)
+    if rows[0].shape[0] == 1:
+        mean_d2 = (np.stack(rows) ** 2).mean(axis=0)
+    else:
+        mean_d2 = np.zeros(rows[0].shape[0])
+        for d in rows:
+            mean_d2 += d**2
+        mean_d2 /= len(rows)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = mean_d2[1:] / mean_d2[:-1]
     return mean_d2, ratios
@@ -292,7 +302,7 @@ def contraction_stats(traces: list[SolverTrace]) -> ContractionStats:
     frac_exited = 1.0 - len(kept) / len(traces)
     if not kept:
         raise ValueError("every trace exited the ball; no surviving trials")
-    mean_d2, ratios = _mean_dist_sq(np.stack([t.dist**2 for t in kept]))
+    mean_d2, ratios = _mean_dist_sq([t.dist for t in kept])
     return ContractionStats(
         ratios=ratios,
         mean_dist_sq=mean_d2,

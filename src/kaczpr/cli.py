@@ -343,7 +343,7 @@ _TRIAL_RUNNERS = {"solve": _solve_trial, "baseline": _baseline_trial}
 
 
 class TrialResult(NamedTuple):
-    """What _aggregate reads of one trial; all a pool worker sends back."""
+    """What _run_trials keeps of one trial; all a pool worker sends back."""
 
     dist: np.ndarray
     stopping_time: int | None
@@ -372,49 +372,72 @@ def _pool_entry(args) -> TrialResult:
     return TrialResult(trace.dist, trace.stopping_time)
 
 
-def _run_trials(cfg: ExperimentConfig) -> list:
-    """Run every trial and write its trace files; return the trials in order.
+# Budget of finished traces a serial run holds between write bursts: 8 traces
+# at n = 128 and 40n steps.
+_WRITE_BURST_BYTES = 1 << 20
 
-    Pool workers write their own traces and return a TrialResult.  The
-    serial path runs every trial before writing any: on a 2-core Linux host,
-    creating a file right after a stretch of compute cost 2-3x more than
-    creating it in a burst, and interleaving made `baseline` about 9%
-    slower.  A failing trial raises, possibly after other trials' traces
-    are on disk; only _aggregate writes aggregate.csv and summary.json.
+
+def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Run every trial and write its trace files.
+
+    Returns the trials x (max_iters + 1) distance matrix and each trial's
+    stopping time, max_iters + 1 for a trial that never left the ball;
+    nothing else of a trial is kept.  Pool workers write their own traces
+    and return a TrialResult.  The serial path holds finished traces up to
+    _WRITE_BURST_BYTES and then writes them in one burst: on a 2-core Linux
+    host, creating a file right after a stretch of compute cost 2-3x more
+    than creating it in a burst, and writing each trace after its trial
+    made `baseline` about 9% slower.  A failing trial raises, possibly
+    after other trials' traces are on disk; only _aggregate writes
+    aggregate.csv and summary.json.
     """
     digest = config_hash(cfg)
+    k_len = cfg.max_iters + 1
+    dists = np.empty((cfg.trials, k_len))
+    stops = np.full(cfg.trials, k_len)
+
+    def keep(t: int, result) -> None:
+        dists[t] = result.dist
+        if result.stopping_time is not None:
+            stops[t] = result.stopping_time
+
     if cfg.serial or cfg.threads == 1 or cfg.trials <= 1:
-        traces = [_TRIAL_RUNNERS[cfg.command](cfg, t) for t in range(cfg.trials)]
-        for t, trace in enumerate(traces):
-            _write_trace(cfg, t, trace, digest)
-        return traces
+        # rows (int64), abs_az and dist: 8 bytes per step each
+        burst = max(1, _WRITE_BURST_BYTES // (8 * (3 * cfg.max_iters + 1)))
+        held = {}
+        for t in range(cfg.trials):
+            held[t] = trace = _TRIAL_RUNNERS[cfg.command](cfg, t)
+            keep(t, trace)
+            if len(held) == burst or t == cfg.trials - 1:
+                for s, done in held.items():
+                    _write_trace(cfg, s, done, digest)
+                held.clear()
+        return dists, stops
     jobs = [(cfg, t, digest) for t in range(cfg.trials)]
     with ProcessPoolExecutor(max_workers=min(cfg.threads, cfg.trials)) as pool:
-        return list(pool.map(_pool_entry, jobs))
+        for t, result in enumerate(pool.map(_pool_entry, jobs)):
+            keep(t, result)
+    return dists, stops
 
 
-def _aggregate(cfg: ExperimentConfig, trials: list, out: Path) -> dict:
+def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out: Path) -> dict:
     """Write aggregate.csv and summary.json; return the summary document.
 
-    Reads only .dist and .stopping_time of each trial (a SolverTrace or a
-    TrialResult).  mean_dist2 is restricted to trials that never left the
-    trust ball (the view the convergence statement is about); median_dist
-    and frac_exited cover all trials.
+    `dists` and `stops` are what _run_trials returns; the median is taken
+    in place, so `dists` is overwritten.  mean_dist2 is restricted to
+    trials that never left the trust ball (the view the convergence
+    statement is about); median_dist and frac_exited cover all trials.
     """
     k_len = cfg.max_iters + 1
-    dists = np.stack([t.dist for t in trials])
-    exited = np.array([t.stopping_time is not None for t in trials])
-    stop = np.array(
-        [t.stopping_time if t.stopping_time is not None else k_len for t in trials]
-    )
-    surviving = ~exited
-    if surviving.any():
-        mean_d2, ratios = analysis._mean_dist_sq(dists[surviving] ** 2)
+    exited = stops < k_len
+    surviving = np.flatnonzero(~exited)
+    if surviving.size:
+        mean_d2, ratios = analysis._mean_dist_sq([dists[t] for t in surviving])
     else:
         mean_d2 = np.full(k_len, np.nan)
-    median_d = np.median(dists, axis=0)
-    k_axis = np.arange(k_len)
-    frac_exited_by_k = (stop[None, :] <= k_axis[:, None]).mean(axis=1)
+    median_d = np.median(dists, axis=0, overwrite_input=True)
+    # stops[t] <= k holds for a count of trials that grows with k
+    frac_exited_by_k = np.cumsum(np.bincount(stops, minlength=k_len + 1)[:k_len]) / cfg.trials
 
     columns = (map(repr, col.tolist()) for col in (mean_d2, median_d, frac_exited_by_k))
     body = map("{},{},{},{}\n".format, range(k_len), *columns)
@@ -430,7 +453,7 @@ def _aggregate(cfg: ExperimentConfig, trials: list, out: Path) -> dict:
             "final_median_dist": _finite_or_none(median_d[-1]),
         }
     )
-    if surviving.any() and cfg.max_iters > 0:
+    if surviving.size and cfg.max_iters > 0:
         mask = mean_d2[:-1] > FLOOR_DIST_SQ
         if mask.any():
             max_ratio = _finite_or_none(ratios[mask].max())
@@ -453,7 +476,7 @@ def _aggregate(cfg: ExperimentConfig, trials: list, out: Path) -> dict:
 def cmd_solve(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _aggregate(cfg, _run_trials(cfg), out)
+    summary = _aggregate(cfg, *_run_trials(cfg), out)
     status = 0
     if cfg.check:
         rate_bound = 1.0 - RATE_MARGIN / cfg.n
@@ -477,7 +500,7 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
 def cmd_baseline(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _aggregate(cfg, _run_trials(cfg), out)
+    summary = _aggregate(cfg, *_run_trials(cfg), out)
     status = 0
     if cfg.check:
         median = summary["final_median_dist"]

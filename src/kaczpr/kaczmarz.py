@@ -325,7 +325,7 @@ def _run(
         exits = np.flatnonzero(dist > config.ball_radius_rel * float(np.linalg.norm(x)))
         stopping_time = int(exits[0]) if exits.size else None
     return SolverTrace(
-        rows=idx.astype(np.int64),
+        rows=idx.astype(np.int64, copy=False),
         abs_az=abs_az,
         dist=dist,
         stopping_time=stopping_time,

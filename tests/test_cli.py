@@ -358,7 +358,8 @@ def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
     for stops, surviving in (((None, 7, None), [0, 2]), ((3, 7, 0), [])):
         for trace, stop in zip(traces, stops):
             trace.stopping_time = stop
-        _aggregate(cfg, traces, tmp_path)
+        _aggregate(cfg, np.stack([t.dist for t in traces]),
+                   np.array([41 if s is None else s for s in stops]), tmp_path)
         # the per-line writer aggregate.csv was first written with
         mean_d2 = (dists[surviving] ** 2).mean(axis=0) if surviving else np.full(41, np.nan)
         median_d = np.median(dists, axis=0)
@@ -432,6 +433,97 @@ def test_pool_workers_return_only_distances_and_stopping_times(tmp_path, in_proc
         assert (tmp_path / "pool" / f"trace_{t:04d}.json").exists()
 
 
+def _artifact_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_serial_bursts_keep_artifacts_byte_identical(tmp_path, monkeypatch):
+    import kaczpr.cli as cli
+
+    # a trace of 20000 steps holds 480 KB, so the default budget writes bursts of two
+    args = ["solve", "--n", "4", "--m", "32", "--trials", "3", "--max-iters", "20000",
+            "--seed", "3", "--serial"]
+    events = []
+    real_runner, real_write = cli._solve_trial, cli._write_trace
+
+    def runner(cfg, t):
+        events.append(f"run {t}")
+        return real_runner(cfg, t)
+
+    def write(cfg, t, *rest):
+        events.append(f"write {t}")
+        real_write(cfg, t, *rest)
+
+    monkeypatch.setitem(cli._TRIAL_RUNNERS, "solve", runner)
+    monkeypatch.setattr(cli, "_write_trace", write)
+    outputs = []
+    orders = {
+        1: "run 0,write 0,run 1,write 1,run 2,write 2",
+        cli._WRITE_BURST_BYTES: "run 0,run 1,write 0,write 1,run 2,write 2",
+        1 << 40: "run 0,run 1,run 2,write 0,write 1,write 2",
+    }
+    for budget, order in orders.items():  # one trace, the default, all trials
+        monkeypatch.setattr(cli, "_WRITE_BURST_BYTES", budget)
+        events.clear()
+        out = tmp_path / str(budget)
+        assert run_cli([*args, "--out", str(out)]) == 0
+        assert ",".join(events) == order
+        outputs.append(_artifact_bytes(out))
+    assert len(outputs[0]) == 2 * 3 + 2
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failing_serial_trial_keeps_earlier_bursts_and_no_summary(tmp_path, monkeypatch,
+                                                                  capsys):
+    import kaczpr.cli as cli
+    from kaczpr import Measurements
+
+    real_measure = cli.measure
+    ran = []
+
+    def measure(e, x):  # trial 3's magnitudes drive its iterate to inf
+        ran.append(e.stream_id)
+        if e.stream_id == 3:
+            return Measurements(values=np.full(e.m, 1e308))
+        return real_measure(e, x)
+
+    monkeypatch.setattr(cli, "measure", measure)
+    monkeypatch.setattr(cli, "_WRITE_BURST_BYTES", 2 * 8 * (3 * 100 + 1))  # two traces
+    out = tmp_path / "serial"
+    rc = run_cli(["solve", "--n", "8", "--m", "64", "--trials", "5", "--max-iters", "100",
+                  "--serial", "--out", str(out)])
+    assert rc == 2
+    assert re.search(r"kaczpr: non-finite iterate at step \d+, produced by row \d+",
+                     capsys.readouterr().err)
+    assert ran == [0, 1, 2, 3]
+    # trials 0 and 1 were the first burst; trial 2 was held when trial 3 failed
+    assert sorted(path.name for path in out.iterdir()) == [
+        "trace_0000.csv", "trace_0000.json", "trace_0001.csv", "trace_0001.json"]
+
+
+def test_serial_peak_memory_grows_by_a_distance_row_per_trial(tmp_path, monkeypatch):
+    import tracemalloc
+
+    import kaczpr.cli as cli
+
+    steps = 1000
+    row = 8 * (steps + 1)  # one trial's dist; its whole trace is about 3 rows
+    monkeypatch.setattr(cli, "_WRITE_BURST_BYTES", 3 * 3 * row)  # three traces
+    peaks = {}
+    for trials in (1, 6, 18):  # the first run also makes one-time allocations
+        args = ["solve", "--n", "4", "--m", "32", "--trials", str(trials), "--max-iters",
+                str(steps), "--seed", "2", "--serial", "--out", str(tmp_path / str(trials))]
+        tracemalloc.start()
+        try:
+            assert run_cli(args) == 0
+            peaks[trials] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # keeping every trace would add about 4 rows per trial
+    assert 0.5 * row < (peaks[18] - peaks[6]) / 12 < 2 * row
+
+
 _M_CASES = [("m", "--m", "0"), ("m", "--m", "-3"),
             ("m_over_n", "--m-over-n", "0"), ("m_over_n", "--m-over-n", "-2")]
 
@@ -489,6 +581,20 @@ def test_out_of_range_lambda_names_the_flag(capsys, lemma, bad, good):
     assert "--lambda must be" in err and f"verify {lemma}" in err
     # the range check is the library's: a value inside it gets past validation
     resolve_config("verify", {"lemma": lemma, "lam": float(good)}, None)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lemma", ["F", "restricted-ratio"])
+@pytest.mark.parametrize("lam", ["1e20", "1e300", "1.7976931348623157e308"])
+def test_huge_lambda_gives_reports(capsys, lemma, lam):
+    small = ["--samples", "2000", "--h-samples", "20", "--n", "4", "--m", "64", "--seed", "1"]
+    assert run_cli(["verify", lemma, "--lambda", lam, "--sigma", "0.5", *small]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    docs = [json.loads(line) for line in captured.out.splitlines()]
+    assert docs and all(doc["passed"] for doc in docs)
+    if lemma == "F":
+        assert docs[0]["bound"] == 0.375
 
 
 def test_verify_g_default_lambda_names_the_flag(capsys):

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.special
 
 from kaczpr import (
@@ -66,6 +68,47 @@ def test_series_f_matches_betainc_oracle():
             got = series_F(LemmaParams(lam=lam, sigma=sigma))
             want = betainc_series_f(lam, sigma)
             assert got == pytest.approx(want, rel=1e-10)
+
+
+def quad_series_f(lam, sigma, k_max=250):
+    # the series with each term's integral of (t / (1 + t^2))^p over [0, lam] by
+    # adaptive quadrature: [0, 1] directly, (1, lam] as [1/lam, 1] under u = 1/t
+    log_tau4 = 2.0 * math.log1p(-sigma**2)
+    total, prev = 0.0, math.inf
+    for k in range(k_max):
+        p = 2 * k + 3
+        integral = scipy.integrate.quad(lambda t: (t / (1.0 + t * t)) ** p, 0.0, min(lam, 1.0),
+                                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        if lam > 1.0:
+            integral += scipy.integrate.quad(
+                lambda u: u ** (p - 2) / (1.0 + u * u) ** p, 1.0 / lam, 1.0,
+                epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        log_coeff = (math.log(2.0) + math.lgamma(2 * k + 2) + math.log(2 * k + 1)
+                     - 2.0 * math.lgamma(k + 1) + log_tau4)
+        if sigma != 0.0:
+            log_coeff += 2.0 * k * math.log(abs(sigma))
+        elif k > 0:
+            break
+        term = math.exp(log_coeff) * integral
+        total += term
+        if term < 1e-12 and term <= prev:
+            break
+        prev = term
+    return total
+
+
+# every finite lambda is accepted, so the largest is the largest double
+@pytest.mark.parametrize("lam", [3.0, 20.0, 50.0, 1e4, 1e300, sys.float_info.max])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.99])
+def test_series_f_matches_quad_up_to_the_largest_lambda(lam, sigma):
+    got = series_F(LemmaParams(lam=lam, sigma=sigma))
+    assert got == pytest.approx(quad_series_f(lam, sigma), rel=1e-12)
+
+
+def test_lambda_past_the_square_overflow_gives_the_limit_bounds():
+    assert lower_bound_f(1e300) == 0.375
+    bound = check_restricted_ratio(4, 64, LemmaParams(lam=1e300), 10, RngStream(3, 0)).bound
+    assert bound == (0.375 - 0.001) / 4
 
 
 def test_series_f_monotone_in_lambda():

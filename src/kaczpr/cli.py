@@ -41,7 +41,7 @@ from .sampling import Model, make_ensemble, measure
 from .verify import (
     Direction,
     LemmaParams,
-    LemmaReport,
+    _report,
     check_covariance,
     check_restricted_ratio,
     check_truncated_moment,
@@ -126,6 +126,9 @@ class ExperimentConfig:
             in_regime, text = _LAMBDA_REGIMES[run]
             if not in_regime(self.lam):
                 raise ValueError(f"{_FLAGS['lam']} must be {text} for {run}")
+        # series_F's own domain, restated like the regimes of lam
+        if run == "verify F" and not -1.0 < self.sigma < 1.0:
+            raise ValueError(f"{_FLAGS['sigma']} must lie in (-1, 1) for {run}")
         # the exit-probability bound holds only for starts within 0.01 * delta
         if run == "solve" and self.init == "planted" and not self.allow_radius_override:
             if self.planted_radius > 0.01 * self.delta + 1e-15:
@@ -582,17 +585,9 @@ def _verify_reports(cfg: ExperimentConfig) -> list:
     if name == "F":
         params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma)
         report = mc_F(params, cfg.samples, stream)
-        series = series_F(params)
-        agreement = abs(report.estimate - series)
-        agree_report = LemmaReport(
-            name="F_vs_series",
-            estimate=agreement,
-            std_error=0.0,
-            bound=3.0 * report.std_error,
-            direction=Direction.AT_MOST,
-            samples=report.samples,
-            passed=agreement <= 3.0 * report.std_error,
-        )
+        agreement = abs(report.estimate - series_F(params))
+        agree_report = _report("F_vs_series", agreement, 0.0, 3.0 * report.std_error,
+                               Direction.AT_MOST, report.samples)
         return [report, agree_report]
     if name == "G":
         params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma)

@@ -17,15 +17,18 @@ cross-validates that reduction.
     F(lam, sigma) = E[ Re^2(h^* xi xi^* x) / |xi^* x|^2 ; lam |xi^* x| >= |xi^* h| ]
     G(lam, sigma) = E[ |xi^* h|^2 ; |xi^* x| <= lam |xi^* h| ]
 
-F admits the series form (per-term integrals evaluated by Gauss-Legendre
-quadrature)
+F admits the series form
 
     F = 2 sum_k ((2k+1)! (2k+1) / (k!)^2) sigma^{2k} (1-sigma^2)^2
-              int_0^lam (t / (1+t^2))^{2k+3} dt.
+              int_0^lam (t / (1+t^2))^{2k+3} dt,
+
+which sums in closed form to one integral (see ``series_F``), evaluated by
+Gauss-Legendre panels that halve toward the integrand's peak at t = 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +38,6 @@ import numpy as np
 from .initializers import real_overlap_direction
 from .rng import RngStream, complex_standard_normal
 from .sampling import Model, make_ensemble
-
-CLOSED_FORM_LAMBDA_MAX = math.sqrt((5.0 - math.sqrt(21.0)) / 2.0)
 
 _BATCH = 1 << 17
 
@@ -248,66 +249,60 @@ def mc_G(
     return mc_G_reports(params, samples, rng, mode, dim, bounds=(bound,))[0]
 
 
-# series_F integrates over [0, min(lam, _SERIES_HEAD)] directly and maps the rest
-# of [0, lam] onto a bounded interval.  A single 400-node rule over [0, lam]
-# matched scipy's quad to 3e-14 up to lam = 20 at |sigma| <= 0.999, but missed
-# by 2e-8 at lam = 50 and sigma = 0.99 and by 1e-3 at lam = 1e4.
-_SERIES_HEAD = 20.0
+# built on first use: importing numpy.polynomial with this module would add
+# about 2 MB to the peak RSS of every CLI run, and the rule takes about 1 ms
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(40)
 
 
-def series_F(params: LemmaParams, k_max: int = 250, quad_points: int = 400) -> float:
-    """Series evaluation of F with Gauss-Legendre quadrature per term.
+def _panels(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a 40-node Gauss-Legendre rule on each panel between edges."""
+    nodes, weights = _gauss_legendre()
+    lo, hi = edges[1:, None], edges[:-1, None]
+    half = 0.5 * (hi - lo)
+    return (lo + half * (nodes + 1.0)).ravel(), (half * weights).ravel()
 
-    Each term integrates (t / (1 + t^2))^(2k+3) over [0, lam]: one rule
-    covers [0, min(lam, 20)], and past 20 a second rule covers the tail
-    after the substitution u = 1/t, so any finite lam is accurate.  Terms
-    are accumulated until they drop below 1e-12 or k_max is reached.
-    Coefficients are built in log space; the factorials overflow doubles
-    far before the series converges at large |sigma|.
+
+def series_F(params: LemmaParams) -> float:
+    """F from its series summed in closed form, by one Gauss-Legendre integral.
+
+    Since sum_k (2k+1)^2 C(2k,k) y^k = (1+8y) / (1-4y)^(5/2), with
+    r = t / (1+t^2) the series is
+
+        F = 2 (1-sigma^2)^2 int_0^lam r^3 (1 + 8 sigma^2 r^2) / (1 - 4 sigma^2 r^2)^(5/2) dt,
+
+    where 1 - 4 sigma^2 r^2 = ((1-t^2)^2 + 4 t^2 (1-sigma^2)) / (1+t^2)^2, a
+    sum of nonnegative terms free of cancellation.  [0, min(lam, 1)] is
+    integrated directly and the tail past 1 as [1/lam, 1] under u = 1/t.
+    Both integrands peak at 1 with a width of about sqrt(1 - sigma^2), so
+    each is integrated in d = 1 - t (or 1 - u), which also gives
+    1 - t^2 = d (2 - d) to full relative precision, on 40-node panels
+    [1/2, 1], [1/4, 1/2], ... that halve until one is no wider than the
+    peak, plus a last one down to d = 0.
     """
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
-    if abs(params.sigma) >= 1.0:
+    sigma = params.sigma
+    if abs(sigma) >= 1.0:
         raise ValueError("series diverges pointwise at |sigma| = 1")
-    lam, sigma = params.lam, params.sigma
-    if lam == 0.0:
-        return 0.0
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    head = min(lam, _SERIES_HEAD)
-    t = 0.5 * head * (nodes + 1.0)
-    # (weights, base, e): one rule for the integral of w * base^(2k + e)
-    pieces = [(0.5 * head * weights, t / (1.0 + t * t), 3)]
-    if lam > head:
-        # the tail (head, lam] by u = 1/t: base(1/u) = base(u) and dt = du / u^2,
-        # so its integrand is base(u)^(2k+1) / (1 + u^2)^2 on [1/lam, 1/head]
-        lo, hi = 1.0 / lam, 1.0 / head
-        u = lo + 0.5 * (hi - lo) * (nodes + 1.0)
-        pieces.append((0.5 * (hi - lo) * weights / (1.0 + u * u) ** 2, u / (1.0 + u * u), 1))
-    log_tau4 = 2.0 * math.log1p(-sigma**2)  # log (1 - sigma^2)^2
-    total = 0.0
-    prev = math.inf
-    for k in range(k_max):
-        integral = sum(float(np.sum(w * base ** (2 * k + e))) for w, base, e in pieces)
-        if integral <= 0.0:
-            break
-        log_coeff = (
-            math.log(2.0)
-            + math.lgamma(2 * k + 2)
-            + math.log(2 * k + 1)
-            - 2.0 * math.lgamma(k + 1)
-            + log_tau4
-        )
-        if sigma != 0.0:
-            log_coeff += 2.0 * k * math.log(abs(sigma))
-        elif k > 0:
-            break
-        term = math.exp(log_coeff + math.log(integral))
-        total += term
-        # terms can grow before they decay; only stop on the decaying side
-        if term < 1e-12 and term <= prev:
-            break
-        prev = term
-    return total
+    lam = params.lam
+    tau2 = (1.0 - sigma) * (1.0 + sigma)
+    peak_width = math.sqrt(tau2)
+    edges = [1.0]
+    while edges[-1] > peak_width:
+        edges.append(0.5 * edges[-1])
+    edges = np.array(edges + [0.0])
+    d_head, w_head = _panels(np.clip(edges, 1.0 - min(lam, 1.0), 1.0))  # t = 1 - d
+    d_tail, w_tail = _panels(np.clip(edges, 0.0, 1.0 - 1.0 / max(lam, 1.0)))  # u = 1 - d
+    d = np.concatenate([d_head, d_tail])
+    t = 1.0 - d
+    t2 = t * t
+    q = 1.0 + t2
+    denom = (d * (2.0 - d)) ** 2 + 4.0 * t2 * tau2  # (1-t^2)^2 + 4 t^2 (1-sigma^2)
+    # with the powers of 1 + t^2 cancelled, the head's integrand is t^2 * common,
+    # and the tail's, which gains dt = du / u^2, is common
+    common = t * (q * q + 8.0 * sigma * sigma * t2) / denom**2.5
+    weights = np.concatenate([w_head * (1.0 - d_head) ** 2, w_tail])
+    return 2.0 * tau2 * tau2 * float(weights @ common)
 
 
 def covariance_deviation(rows: np.ndarray) -> float:

@@ -602,9 +602,27 @@ def test_verify_g_default_lambda_names_the_flag(capsys):
     assert "--lambda must be in [0, 0.4] for verify G" in capsys.readouterr().err
 
 
-def test_out_of_range_sigma_names_the_flag(capsys):
-    assert run_cli(["verify", "G", "--lambda", "0.4", "--sigma", "1.5", "--seed", "1"]) == 2
-    assert "--sigma must lie in [-1, 1]" in capsys.readouterr().err
+def test_out_of_range_sigma_names_the_flag(capsys, monkeypatch):
+    import kaczpr.cli as cli
+
+    # each is rejected before any sample is drawn
+    monkeypatch.setattr(cli, "_verify_reports", lambda cfg: pytest.fail("sampled"))
+    for args, message in [
+        (["G", "--lambda", "0.4", "--sigma", "1.5"], "--sigma must lie in [-1, 1]"),
+        (["F", "--sigma", "1"], "--sigma must lie in (-1, 1) for verify F"),
+        (["F", "--sigma", "-1"], "--sigma must lie in (-1, 1) for verify F"),
+    ]:
+        assert run_cli(["verify", *args, "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+
+
+def test_verify_f_near_unit_sigma_agrees_with_the_series(capsys):
+    # a series cut off at 250 terms read 0.9508 here, against 0.98996
+    args = ["verify", "F", "--lambda", "3", "--sigma", "0.99", "--samples", "100000", "--seed", "7"]
+    assert run_cli(args) == 0
+    docs = {doc["name"]: doc for doc in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert docs["F_vs_series"]["passed"]
 
 
 # every key a config file accepts, with one value that cannot be coerced

@@ -70,39 +70,39 @@ def test_series_f_matches_betainc_oracle():
             assert got == pytest.approx(want, rel=1e-10)
 
 
-def quad_series_f(lam, sigma, k_max=250):
-    # the series with each term's integral of (t / (1 + t^2))^p over [0, lam] by
-    # adaptive quadrature: [0, 1] directly, (1, lam] as [1/lam, 1] under u = 1/t
-    log_tau4 = 2.0 * math.log1p(-sigma**2)
-    total, prev = 0.0, math.inf
-    for k in range(k_max):
-        p = 2 * k + 3
-        integral = scipy.integrate.quad(lambda t: (t / (1.0 + t * t)) ** p, 0.0, min(lam, 1.0),
-                                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        if lam > 1.0:
-            integral += scipy.integrate.quad(
-                lambda u: u ** (p - 2) / (1.0 + u * u) ** p, 1.0 / lam, 1.0,
-                epsabs=0.0, epsrel=1e-13, limit=200)[0]
-        log_coeff = (math.log(2.0) + math.lgamma(2 * k + 2) + math.log(2 * k + 1)
-                     - 2.0 * math.lgamma(k + 1) + log_tau4)
-        if sigma != 0.0:
-            log_coeff += 2.0 * k * math.log(abs(sigma))
-        elif k > 0:
-            break
-        term = math.exp(log_coeff) * integral
-        total += term
-        if term < 1e-12 and term <= prev:
-            break
-        prev = term
-    return total
+def quad_series_f(lam, sigma):
+    # the series summed in closed form, (1+8y)/(1-4y)^(5/2) at y = sigma^2 r^2, by
+    # adaptive quadrature: [0, min(lam, 1)] directly, (1, lam] as [1/lam, 1] under u = 1/t
+    tau2 = (1.0 - sigma) * (1.0 + sigma)
+
+    def integrand(t, jacobian):
+        r = t / (1.0 + t * t)
+        # 1 - 4 sigma^2 r^2, without cancellation
+        d = ((1.0 - t * t) ** 2 + 4.0 * t * t * tau2) / (1.0 + t * t) ** 2
+        return r**3 * (1.0 + 8.0 * sigma**2 * r**2) / d**2.5 * jacobian(t)
+
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=500)
+    total = scipy.integrate.quad(integrand, 0.0, min(lam, 1.0), args=(lambda t: 1.0,), **opts)[0]
+    if lam > 1.0:
+        total += scipy.integrate.quad(integrand, 1.0 / lam, 1.0, args=(lambda u: 1.0 / (u * u),),
+                                      **opts)[0]
+    return 2.0 * tau2**2 * total
 
 
 # every finite lambda is accepted, so the largest is the largest double
 @pytest.mark.parametrize("lam", [3.0, 20.0, 50.0, 1e4, 1e300, sys.float_info.max])
-@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.97, 0.99, 1.0 - 1e-6])
 def test_series_f_matches_quad_up_to_the_largest_lambda(lam, sigma):
     got = series_F(LemmaParams(lam=lam, sigma=sigma))
     assert got == pytest.approx(quad_series_f(lam, sigma), rel=1e-12)
+
+
+# 1 - 1e-12 fails if 1 - t^2 is formed by cancellation near the peak at t = 1
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-12])
+def test_series_f_tends_to_its_exact_limit(sigma):
+    # given w = xi^* x, xi^* h = sigma w + tau g, so E Re^2(...) / |w|^2 = sigma^2 + tau^2 / 2
+    got = series_F(LemmaParams(lam=1e300, sigma=sigma))
+    assert got == pytest.approx((1.0 + sigma**2) / 2.0, abs=1e-14)
 
 
 def test_lambda_past_the_square_overflow_gives_the_limit_bounds():

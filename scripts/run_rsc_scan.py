@@ -28,9 +28,13 @@ def run(argv=None):
         "--samples", str(args.samples), "--seed", str(args.seed),
         "--out", args.out,
     ])
+    if rc == 2:  # rejected config: no report was written, or an older run's is still there
+        return rc
     doc = json.loads((Path(args.out) / "rsc_scan.json").read_text())
-    print(f"min gamma_hat {doc['min_gamma']:.6f} over {doc['samples']} samples "
-          f"(threshold {doc['threshold']:.6f}) -> {'ok' if doc.get('passed') else 'violated'}")
+    min_gamma = "none" if doc["min_gamma"] is None else f"{doc['min_gamma']:.6f}"
+    verdict = {True: "ok", False: "violated"}.get(doc.get("passed"), "not asserted")
+    print(f"min gamma_hat {min_gamma} over {doc['samples']} samples "
+          f"(threshold {doc['threshold']:.6f}) -> {verdict}")
     print(f"per-sample margins: {Path(args.out) / 'rsc_scan.csv'}")
     return rc
 

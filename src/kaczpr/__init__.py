@@ -10,7 +10,7 @@ from .analysis import (
     margin_row_terms,
     rsc_margin,
 )
-from .geometry import align, aligned_error, dist, optimal_phase
+from .geometry import aligned_error, dist, optimal_phase
 from .initializers import (
     InitConfig,
     NormModel,
@@ -19,10 +19,8 @@ from .initializers import (
     spectral_init,
 )
 from .kaczmarz import (
-    Selection,
     SolverConfig,
     SolverTrace,
-    ZeroResidualPolicy,
     linear_step,
     pr_step,
     run_linear,

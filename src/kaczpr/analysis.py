@@ -225,7 +225,7 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
     """Exact row-average of dist^2 after one update: no sampling error.
 
     Rows with a_j^* z = 0 take the phase-one fallback step, matching the
-    solver default.  At most two m x n temporaries are live at once.
+    solver.  At most two m x n temporaries are live at once.
     """
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")

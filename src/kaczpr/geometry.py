@@ -7,8 +7,6 @@ here minimize over that circle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -27,14 +25,6 @@ def as_cvector(v, name: str = "vector") -> np.ndarray:
 def _check_same_dim(z: np.ndarray, x: np.ndarray):
     if z.shape != x.shape:
         raise ValueError(f"dimension mismatch: {z.shape[0]} vs {x.shape[0]}")
-
-
-@dataclass(frozen=True)
-class Alignment:
-    """Optimal phase and the distance it achieves."""
-
-    phase: float
-    distance: float
 
 
 def optimal_phase(z, x) -> float:
@@ -92,14 +82,6 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a C-contiguous 2-d complex array."""
     flat = v.view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
-
-
-def align(z, x) -> Alignment:
-    """Optimal phase together with the aligned distance."""
-    phase = optimal_phase(z, x)
-    z = as_cvector(z, "z")
-    x = as_cvector(x, "x")
-    return Alignment(phase=phase, distance=float(np.linalg.norm(z - x * np.exp(1j * phase))))
 
 
 def aligned_error(z, x) -> np.ndarray:

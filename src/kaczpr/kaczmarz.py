@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import NoReturn
 
@@ -38,29 +37,11 @@ from .rng import GENERATOR_ID, RngStream
 from .sampling import Ensemble, Measurements
 
 
-class Selection(Enum):
-    NORM_WEIGHTED = "norm_weighted"
-    UNIFORM = "uniform"
-
-
-class ZeroResidualPolicy(Enum):
-    """What to do when a^* z = 0 and the residual phase is undefined.
-
-    PHASE_ONE adopts phase factor 1 and still lands on the solution
-    hyperplane; SKIP leaves the iterate untouched.
-    """
-
-    PHASE_ONE = "phase_one"
-    SKIP = "skip"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int
     ball_radius_rel: float = 0.01
     track_distance: bool = True
-    selection: Selection = Selection.NORM_WEIGHTED
-    zero_residual_policy: ZeroResidualPolicy = ZeroResidualPolicy.PHASE_ONE
 
     def __post_init__(self):
         if self.max_iters < 0:
@@ -119,54 +100,31 @@ class SolverTrace:
         Path(path).write_text(json.dumps(self.sidecar(), sort_keys=True) + "\n")
 
 
-def _cumulative_probs(ensemble: Ensemble, selection: Selection) -> np.ndarray:
-    if selection is Selection.UNIFORM:
-        weights = np.ones(ensemble.m)
-    else:
-        weights = ensemble.row_norms_sq
-    total = weights.sum()
-    if total <= 0:
-        raise ValueError("ensemble has no rows with positive norm")
-    return np.cumsum(weights / total)
-
-
-def _indices_from_uniforms(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, cum.shape[0] - 1)
-
-
-def select_rows(
-    ensemble: Ensemble,
-    rng: RngStream,
-    count: int,
-    selection: Selection = Selection.NORM_WEIGHTED,
-) -> np.ndarray:
+def select_rows(ensemble: Ensemble, rng: RngStream, count: int) -> np.ndarray:
     """The length-`count` index sequence the run loop consumes.
 
-    Norm-weighted selection picks j with P ~ ||a_j||^2, by inverting the
-    cumulative probabilities at one uniform draw per step.
+    Each step picks j with P ~ ||a_j||^2, by inverting the cumulative
+    probabilities at one uniform draw per step.
     """
     if ensemble.m < 1:
         raise ValueError("ensemble is empty")
-    cum = _cumulative_probs(ensemble, selection)
-    u = rng.generator().random(count)
-    return _indices_from_uniforms(cum, u)
+    weights = ensemble.row_norms_sq
+    total = weights.sum()
+    if total <= 0:
+        raise ValueError("ensemble has no rows with positive norm")
+    cum = np.cumsum(weights / total)
+    idx = np.searchsorted(cum, rng.generator().random(count), side="right")
+    return np.minimum(idx, ensemble.m - 1)
 
 
-def pr_step(
-    z,
-    a,
-    b: float,
-    policy: ZeroResidualPolicy = ZeroResidualPolicy.PHASE_ONE,
-    row_norm_sq: float | None = None,
-) -> np.ndarray:
+def pr_step(z, a, b: float, row_norm_sq: float | None = None) -> np.ndarray:
     """One phaseless row update; afterwards |a^* z| = b up to roundoff.
 
     The step commutes with a global phase: pr_step(f z) == f pr_step(z)
     holds bit for bit for f in {1, -1, 1j, -1j} whenever a^* z != 0, and
-    to roundoff for any other unimodular f.  The PHASE_ONE branch taken
-    when a^* z == 0 is not phase-equivariant, since the residual phase is
-    undefined there.
+    to roundoff for any other unimodular f.  When a^* z == 0 the residual
+    phase is undefined and the step adopts phase factor 1: it still lands
+    on the level set |a^* z| = b, but is not phase-equivariant.
     """
     z = as_cvector(z, "z")
     a = as_cvector(a, "a")
@@ -181,8 +139,6 @@ def pr_step(
     s = np.vdot(a, z)
     mag = abs(s)
     if mag == 0.0:
-        if policy is ZeroResidualPolicy.SKIP:
-            return z.copy()
         return z + (b / row_norm_sq) * a
     c = (1.0 - b / mag) * s / row_norm_sq
     # Real-times-complex products only: numpy's complex*complex kernel may
@@ -211,11 +167,12 @@ def _trace_meta(ensemble: Ensemble, rng: RngStream, config: SolverConfig) -> dic
         "n": ensemble.n,
         "model": ensemble.model.value,
         "max_iters": config.max_iters,
+        # the step rule is fixed; the sidecar still names the one that ran
         "config": {
             "ball_radius_rel": config.ball_radius_rel,
             "track_distance": config.track_distance,
-            "selection": config.selection.value,
-            "zero_residual_policy": config.zero_residual_policy.value,
+            "selection": "norm_weighted",
+            "zero_residual_policy": "phase_one",
         },
     }
 
@@ -256,7 +213,7 @@ def _run(
     elif config.track_distance:
         raise ValueError("track_distance requires a ground-truth vector")
     k_max = config.max_iters
-    idx = select_rows(ensemble, rng, k_max, config.selection)
+    idx = select_rows(ensemble, rng, k_max)
     n = ensemble.n
     B = min(max(1, _TRACK_BUFFER_BYTES // (16 * n)), k_max + 1)
     buf = np.empty((B, n), dtype=np.complex128)
@@ -266,7 +223,6 @@ def _run(
     rows = list(ensemble.rows)
     rhs = rhs.tolist()
     norms_sq = ensemble.row_norms_sq.tolist()
-    skip = config.zero_residual_policy is ZeroResidualPolicy.SKIP
     dist_rows = _plain_error_rows if linear else _dist_rows
     abs_az = np.empty(k_max)
     dist = np.empty(k_max + 1) if config.track_distance else None
@@ -312,8 +268,6 @@ def _run(
             coef[()] = (1.0 - rhs[j] / mag) * s / norms_sq[j]
             multiply(coef, a, out=tmp)
             subtract(z, tmp, out=nxt)
-        elif skip:
-            nxt[...] = z
         else:
             multiply(rhs[j] / norms_sq[j], a, out=tmp)
             add(z, tmp, out=nxt)

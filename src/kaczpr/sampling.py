@@ -25,7 +25,7 @@ class Model(Enum):
         if isinstance(value, cls):
             return value
         for member in cls:
-            if member.value == value or member.name == value:
+            if member.value == value:
                 return member
         raise ValueError(f"unknown measurement model: {value!r}")
 

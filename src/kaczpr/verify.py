@@ -96,7 +96,6 @@ class LemmaParams:
     lam: float
     sigma: float = 0.0
     delta: float = 0.001
-    alpha: float = 12.0
 
     def __post_init__(self):
         if self.lam < 0:
@@ -105,8 +104,6 @@ class LemmaParams:
             raise ValueError("sigma must lie in [-1, 1]")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must lie in (0, 1]")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
 
     @property
     def tau(self) -> float:
@@ -323,9 +320,11 @@ def check_covariance(
     delta: float,
     trials: int,
     rng: RngStream,
-    target: float = 0.98,
 ) -> LemmaReport:
-    """Fraction of sphere ensembles whose covariance deviates by <= delta/n."""
+    """Fraction of sphere ensembles whose covariance deviates by <= delta/n.
+
+    Passes when that fraction clears 0.98 by three standard errors.
+    """
     if m < n:
         raise ValueError("need m >= n")
     if not 0.0 < delta <= 1.0:
@@ -339,7 +338,7 @@ def check_covariance(
             hits += 1
     frac = hits / trials
     se = math.sqrt(frac * (1.0 - frac) / trials)
-    return _report("covariance", frac, se, target, Direction.AT_LEAST, trials)
+    return _report("covariance", frac, se, 0.98, Direction.AT_LEAST, trials)
 
 
 def _direction_batch(x: np.ndarray, count: int, gen) -> np.ndarray:
@@ -356,9 +355,7 @@ def _direction_batch(x: np.ndarray, count: int, gen) -> np.ndarray:
         elif i == 1:
             out[i] = -x
         elif i == 2:
-            u = real_overlap_direction(x, gen)
-            u = u - np.vdot(x, u) * x
-            norm = np.linalg.norm(u)
+            norm = 0.0
             while norm == 0.0:
                 u = real_overlap_direction(x, gen)
                 u = u - np.vdot(x, u) * x
@@ -367,6 +364,19 @@ def _direction_batch(x: np.ndarray, count: int, gen) -> np.ndarray:
         else:
             out[i] = real_overlap_direction(x, gen)
     return out
+
+
+def _scan_products(n: int, m: int, h_samples: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Q = A^* x and H = A^* [h_1 .. h_s] for one sphere ensemble, unit x and sampled h."""
+    if h_samples < 1:
+        raise ValueError("h_samples must be positive")
+    ensemble = make_ensemble(m, n, Model.UNIT_SPHERE, rng.substream(0))
+    gen = rng.substream(1).generator()
+    x = complex_standard_normal(n, gen)
+    x /= np.linalg.norm(x)
+    dirs = _direction_batch(x, h_samples, gen)
+    conj = ensemble.rows.conj()
+    return conj @ x, conj @ dirs.T  # m and m x h_samples
 
 
 def check_restricted_ratio(
@@ -388,18 +398,9 @@ def check_restricted_ratio(
     """
     if params.lam < 3.0:
         raise ValueError("restricted ratio regime requires lam >= 3")
-    if h_samples < 1:
-        raise ValueError("h_samples must be positive")
-    ensemble = make_ensemble(m, n, Model.UNIT_SPHERE, rng.substream(0))
-    gen = rng.substream(1).generator()
-    x = complex_standard_normal(n, gen)
-    x /= np.linalg.norm(x)
-    dirs = _direction_batch(x, h_samples, gen)
-    conj = ensemble.rows.conj()
-    Q = conj @ x
+    Q, H = _scan_products(n, m, h_samples, rng)
     q = np.abs(Q)
     safe_q = np.where(q > 0.0, q, 1.0)
-    H = conj @ dirs.T  # m x h_samples
     keep = params.lam * q[:, None] >= np.abs(H)
     cross = (H.conj() * Q[:, None]).real
     vals = np.where(keep & (q[:, None] > 0.0), cross**2 / safe_q[:, None] ** 2, 0.0)
@@ -426,17 +427,8 @@ def check_truncated_moment(
     """
     if not 0.0 < params.lam <= 0.4:
         raise ValueError("truncated moment regime requires 0 < lam <= 0.4")
-    if h_samples < 1:
-        raise ValueError("h_samples must be positive")
-    ensemble = make_ensemble(m, n, Model.UNIT_SPHERE, rng.substream(0))
-    gen = rng.substream(1).generator()
-    x = complex_standard_normal(n, gen)
-    x /= np.linalg.norm(x)
-    dirs = _direction_batch(x, h_samples, gen)
-    conj = ensemble.rows.conj()
-    Q = conj @ x
+    Q, H = _scan_products(n, m, h_samples, rng)
     q = np.abs(Q)
-    H = conj @ dirs.T
     absH = np.abs(H)
     vals = np.where(q[:, None] <= params.lam * absH, absH**2, 0.0)
     sums = vals.mean(axis=0)

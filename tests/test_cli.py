@@ -864,3 +864,57 @@ def test_in_range_value_resolves_alike_from_every_source(key, flag, command, bad
         assert from_flag.m == value * from_flag.n
     else:
         assert getattr(from_flag, key) == value
+
+
+# Spectral init is left out: np.linalg.eigh's eigenvector moves in the last
+# bits between BLAS thread counts, so a spectral run repeats its bytes only at
+# the same BLAS thread count.
+_THREAD_INVARIANT_RUNS = [
+    ["solve", "--n", "16", "--m", "256", "--trials", "3", "--max-iters", "300", "--serial"],
+    ["baseline", "--n", "16", "--m", "256", "--trials", "3", "--max-iters", "300", "--serial"],
+    ["rsc-scan", "--n", "32", "--m", "1024", "--samples", "20"],
+    ["verify", "covariance", "--n", "32", "--m", "1024", "--trials", "3"],
+    ["verify", "restricted-ratio", "--n", "32", "--m", "2048", "--delta", "0.1",
+     "--h-samples", "500"],
+]
+
+
+def _sha256_listing(root):
+    import hashlib
+
+    return sorted((str(p.relative_to(root)), hashlib.sha256(p.read_bytes()).hexdigest())
+                  for p in root.rglob("*") if p.is_file())
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    import subprocess
+
+    child = ("import json, sys\n"
+             "from kaczpr.cli import main\n"
+             "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    listings = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        runs = [[*argv, "--seed", "3", "--out", str(out / str(i))]
+                for i, argv in enumerate(_THREAD_INVARIANT_RUNS)]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", child, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        listings.append(_sha256_listing(out))
+    assert len(listings[0]) == 20  # 8 each from solve and baseline, 2 from rsc-scan, 1 per verify
+    assert listings[0] == listings[1]
+
+
+def test_console_script_entry_point_resolves_to_main():
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["kaczpr"]
+    module, _, attr = target.partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert callable(entry)
+    assert entry is main

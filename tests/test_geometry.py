@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczpr import RngStream, align, aligned_error, dist, optimal_phase
+from kaczpr import RngStream, aligned_error, dist, optimal_phase
 from kaczpr.rng import complex_standard_normal
 
 
@@ -72,14 +72,6 @@ def test_aligned_error_properties():
         h = aligned_error(z, x)
         assert np.linalg.norm(h) == pytest.approx(dist(z, x), rel=1e-12)
         assert abs(np.vdot(h, x).imag) <= 1e-12 * np.linalg.norm(x) * max(1.0, np.linalg.norm(z))
-
-
-def test_align_bundles_phase_and_distance():
-    z, x = _vec_pair(5, 21)
-    a = align(z, x)
-    assert a.phase == optimal_phase(z, x)
-    assert a.distance == pytest.approx(dist(z, x), rel=1e-14)
-    assert 0.0 <= a.phase < 2 * np.pi
 
 
 def test_degenerate_overlap_returns_zero_phase():

@@ -7,9 +7,7 @@ from kaczpr import (
     Measurements,
     Model,
     RngStream,
-    Selection,
     SolverConfig,
-    ZeroResidualPolicy,
     dist,
     linear_step,
     make_ensemble,
@@ -39,11 +37,9 @@ def test_select_row_norm_weighted_frequencies():
 
     rows = np.array([[np.sqrt(3.0), 0.0], [0.0, 1.0]], dtype=complex)
     e = Ensemble(rows=rows, model=Model.COMPLEX_GAUSSIAN, row_norms_sq=np.array([3.0, 1.0]))
-    idx = select_rows(e, RngStream(3, 0), 10**5, Selection.NORM_WEIGHTED)
+    idx = select_rows(e, RngStream(3, 0), 10**5)
     freq0 = float((idx == 0).mean())
     assert abs(freq0 - 0.75) <= 0.01
-    uni = select_rows(e, RngStream(3, 0), 10**5, Selection.UNIFORM)
-    assert abs(float((uni == 0).mean()) - 0.5) <= 0.01
 
 
 def test_select_row_deterministic_and_matches_batch():
@@ -88,10 +84,9 @@ def test_pr_step_global_phase_equivariance():
 def test_pr_step_zero_residual_policies():
     a = np.array([1.0 + 0j, 0.0])
     z = np.array([0.0 + 0j, 1.0])  # a^* z = 0
-    landed = pr_step(z, a, 2.0, ZeroResidualPolicy.PHASE_ONE)
+    landed = pr_step(z, a, 2.0)
     np.testing.assert_allclose(landed, np.array([2.0 + 0j, 1.0]), atol=1e-15)
     assert abs(np.vdot(a, landed)) == pytest.approx(2.0)
-    np.testing.assert_array_equal(pr_step(z, a, 2.0, ZeroResidualPolicy.SKIP), z)
 
 
 def test_pr_step_rejects_zero_row_and_bad_b():
@@ -327,6 +322,9 @@ def test_trace_csv_and_sidecar(tmp_path):
     doc = json.loads((tmp_path / "trace.json").read_text())
     for key in ("seed", "stream_id", "m", "n", "model", "max_iters", "stopping_time", "config"):
         assert key in doc
+    # the step rule is fixed, and every trace sidecar names it
+    assert doc["config"] == {"ball_radius_rel": 0.01, "track_distance": True,
+                             "selection": "norm_weighted", "zero_residual_policy": "phase_one"}
 
 
 def test_single_step_expected_contraction_bound():
@@ -513,7 +511,7 @@ def _block_problem(n=128, m=32):
     """Rows supported on the first or the second half of the coordinates.
 
     z0 lives on the first half, so a^* z is exactly 0 for second-half rows
-    until the iterate picks up second-half coordinates (under SKIP, never).
+    until the iterate picks up second-half coordinates.
     """
     from kaczpr import Ensemble
 
@@ -536,7 +534,7 @@ def _reference_run(e, rhs, z0, cfg, rng, x, linear):
 
     Returns (abs_az, dist, final); dist comes from one pass over all iterates.
     """
-    idx = select_rows(e, rng, cfg.max_iters, cfg.selection)
+    idx = select_rows(e, rng, cfg.max_iters)
     z = np.array(z0, dtype=complex)
     iterates, abs_az = [z], []
     for j in idx:
@@ -549,7 +547,7 @@ def _reference_run(e, rhs, z0, cfg, rng, x, linear):
         elif mag != 0.0:
             c = (1.0 - rhs[j] / mag) * s / e.row_norms_sq[j]
             z = z - c * a
-        elif cfg.zero_residual_policy is ZeroResidualPolicy.PHASE_ONE:
+        else:
             z = z + (rhs[j] / e.row_norms_sq[j]) * a
         iterates.append(z)
     dist = None
@@ -567,28 +565,23 @@ def test_run_loops_match_plain_reference_loop_bit_for_bit(monkeypatch, buffer_ro
     B = _buffer_rows(e.n)
     b = measure(e, x)
     y = e.rows.conj() @ x
-    solvers = [(run_pr, b, b.values, False, policy)
-               for policy in (ZeroResidualPolicy.PHASE_ONE, ZeroResidualPolicy.SKIP)]
-    solvers.append((run_linear, y, y, True, ZeroResidualPolicy.PHASE_ONE))
-    zero_steps = dict.fromkeys(ZeroResidualPolicy, 0)
-    for solver, rhs, raw, linear, policy in solvers:
-        for selection in Selection:
-            for track in (True, False):
-                for k_max in sorted({0, 1, B - 1, B, B + 1}):
-                    cfg = SolverConfig(max_iters=k_max, track_distance=track, selection=selection,
-                                       zero_residual_policy=policy)
-                    trace = solver(e, rhs, z0, cfg, RngStream(91, k_max), truth=x)
-                    abs_az, dist, final = _reference_run(e, raw, z0, cfg, RngStream(91, k_max),
-                                                         x, linear)
-                    _same_bits(trace.abs_az, abs_az)
-                    _same_bits(trace.final, final)
-                    if track:
-                        _same_bits(trace.dist, dist)
-                    else:
-                        assert trace.dist is None
-                    if not linear:
-                        zero_steps[policy] += int(np.count_nonzero(abs_az == 0.0))
-    assert all(zero_steps.values())  # both zero-residual branches ran
+    zero_steps = 0
+    for solver, rhs, raw, linear in ((run_pr, b, b.values, False), (run_linear, y, y, True)):
+        for track in (True, False):
+            for k_max in sorted({0, 1, B - 1, B, B + 1}):
+                cfg = SolverConfig(max_iters=k_max, track_distance=track)
+                trace = solver(e, rhs, z0, cfg, RngStream(91, k_max), truth=x)
+                abs_az, dist, final = _reference_run(e, raw, z0, cfg, RngStream(91, k_max),
+                                                     x, linear)
+                _same_bits(trace.abs_az, abs_az)
+                _same_bits(trace.final, final)
+                if track:
+                    _same_bits(trace.dist, dist)
+                else:
+                    assert trace.dist is None
+                if not linear:
+                    zero_steps += int(np.count_nonzero(abs_az == 0.0))
+    assert zero_steps  # the phase-one zero-residual branch ran
 
 
 def _reference_csv(trace):

@@ -8,10 +8,41 @@ from kaczpr import LemmaParams, series_F
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
+def _script(name):
+    return runpy.run_path(str(SCRIPTS / name))["run"]
+
+
 def test_lemma_grid_runs_and_prints_the_series(capsys):
-    run = runpy.run_path(str(SCRIPTS / "run_lemma_grid.py"))["run"]
+    run = _script("run_lemma_grid.py")
     assert run(["--samples", "2000"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     # F rows: lambda, sigma, estimate, se, series, bound, pass
     row = next(r for r in rows if r[:2] == ["10.0", "0.9"])
     assert float(row[4]) == pytest.approx(series_F(LemmaParams(lam=10.0, sigma=0.9)), abs=5e-6)
+
+
+def test_convergence_script_runs_both_experiments(tmp_path, capsys):
+    run = _script("run_convergence.py")
+    assert run(["--n", "16", "--trials", "24", "--out", str(tmp_path)]) == 0
+    assert "certified bound" in capsys.readouterr().out
+    assert (tmp_path / "solve" / "aggregate.csv").is_file()
+    assert (tmp_path / "baseline" / "aggregate.csv").is_file()
+
+
+def test_rsc_scan_script_stops_on_a_rejected_config(tmp_path, capsys):
+    run = _script("run_rsc_scan.py")
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    assert run(["--n", "8", "--samples", "5", "--out", str(used)]) == 0
+    assert "-> ok" in capsys.readouterr().out
+    for out in (fresh, used):  # nothing to read, or an earlier run's report
+        assert run(["--n", "8", "--samples", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
+    assert not fresh.exists()
+
+
+def test_rsc_scan_script_reports_an_empty_scan(tmp_path, capsys):
+    run = _script("run_rsc_scan.py")
+    assert run(["--n", "8", "--samples", "0", "--out", str(tmp_path)]) == 0
+    assert "min gamma_hat none over 0 samples" in capsys.readouterr().out

@@ -27,8 +27,7 @@ def run(argv=None):
     base_dir = out / "baseline"
 
     rc = kaczpr_main([
-        "solve", "--n", str(args.n), "--m-over-n", "8",
-        "--trials", str(args.trials), "--max-iters", str(40 * args.n),
+        "solve", "--n", str(args.n), "--trials", str(args.trials),
         "--seed", str(args.seed), "--threads", str(args.threads),
         "--out", str(solve_dir), "--check",
     ])
@@ -36,20 +35,20 @@ def run(argv=None):
         return rc
 
     rc = kaczpr_main([
-        "baseline", "--n", "32", "--m", "512", "--trials", "50",
-        "--max-iters", str(50 * 32), "--seed", str(args.seed),
-        "--threads", str(args.threads), "--out", str(base_dir), "--check",
+        "baseline", "--seed", str(args.seed), "--threads", str(args.threads),
+        "--out", str(base_dir), "--check",
     ])
     if rc != 0:
         return rc
 
     solve = json.loads((solve_dir / "summary.json").read_text())
     base = json.loads((base_dir / "summary.json").read_text())
-    bound = 1.0 - 0.03 / args.n
+    checks = solve["checks"]
     print(f"phaseless solve: fitted per-step ratio {solve['fitted_contraction']:.6f}, "
-          f"worst {solve['max_contraction_ratio']:.6f}, certified bound {bound:.6f}")
+          f"worst {solve['max_contraction_ratio']:.6f}, "
+          f"certified bound {checks['rate_bound']:.6f}")
     print(f"                 exit fraction {solve['frac_exited']:.3f} "
-          f"(bound {solve['config']['delta'] ** 2:.2f})")
+          f"(bound {checks['exit_bound']:.2f})")
     print(f"linear baseline: median final error {base['final_median_dist']:.2e}")
     print(f"curves: {solve_dir / 'aggregate.csv'} and {base_dir / 'aggregate.csv'}")
     return 0

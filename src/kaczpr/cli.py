@@ -15,6 +15,8 @@ so any output can be regenerated from its sidecar alone.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -26,6 +28,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import analysis
 from .initializers import (
@@ -60,7 +63,8 @@ TAG_INIT = 3
 TAG_ROWS = 4
 TAG_SCAN = 5
 
-FLOOR_DIST_SQ = 1e-24
+FLOOR_DIST_SQ = 1e-24  # the numerical floor of mean_dist2, relative to scale**2
+MEDIAN_ERROR_REL = 1e-10  # baseline's median error bound, relative to scale
 RATE_MARGIN = 0.03  # certified per-step decrement is RATE_MARGIN / n
 MIN_SCALE, MAX_SCALE = 1e-150, 1e150
 
@@ -68,23 +72,6 @@ _ALL = ("solve", "baseline", "rsc-scan", "verify")
 _SOLVERS = ("solve", "baseline")
 _ANY_INIT = ("planted", "spectral", "zero")
 _LEMMAS = ("F", "G", "covariance", "restricted-ratio", "truncated-moment")
-
-# Rules that tie an option to another one or to the run (a command, or "verify"
-# and its lemma), which the option table cannot state.  The regime of lam for
-# each lemma that reads it restates the library's own domain check, so that a
-# rejection names the flag:
-_LAMBDA_REGIMES = {
-    "verify F": (lambda lam: lam >= 2.95, "at least 2.95"),
-    "verify G": (lambda lam: 0.0 <= lam <= 0.4, "in [0, 0.4]"),
-    "verify restricted-ratio": (lambda lam: lam >= 3.0, "at least 3"),
-    "verify truncated-moment": (lambda lam: 0.0 < lam <= 0.4, "in (0, 0.4]"),
-}
-# the count a run needs at least one of
-_NEEDS_ONE = {
-    "solve": "trials", "baseline": "trials", "verify covariance": "trials",
-    "verify F": "samples", "verify G": "samples",
-    "verify restricted-ratio": "h_samples", "verify truncated-moment": "h_samples",
-}
 
 
 @dataclass(frozen=True)
@@ -116,19 +103,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for opt in _OPTIONS:
-            if not opt.times_n:
+            if opt.key != "m_over_n":  # no field: resolve_config turns it into m
                 opt.check(getattr(self, opt.key), self.command)
         run = f"verify {self.lemma}" if self.command == "verify" else self.command
-        count = _NEEDS_ONE.get(run)
-        if count is not None and getattr(self, count) < 1:
-            raise ValueError(f"{_FLAGS[count]} must be at least 1 for {run}")
-        if run in _LAMBDA_REGIMES:
-            in_regime, text = _LAMBDA_REGIMES[run]
-            if not in_regime(self.lam):
-                raise ValueError(f"{_FLAGS['lam']} must be {text} for {run}")
-        # series_F's own domain, restated like the regimes of lam
-        if run == "verify F" and not -1.0 < self.sigma < 1.0:
-            raise ValueError(f"{_FLAGS['sigma']} must lie in (-1, 1) for {run}")
+        for rule_run, key, test, text in _RUN_RULES:
+            if rule_run == run and not test(getattr(self, key)):
+                raise ValueError(f"{_FLAGS[key]} must {text} for {run}")
         # the exit-probability bound holds only for starts within 0.01 * delta
         if run == "solve" and self.init == "planted" and not self.allow_radius_override:
             if self.planted_radius > 0.01 * self.delta + 1e-15:
@@ -194,7 +174,6 @@ class _Option(NamedTuple):
     default: object = None  # or {command: value}; None keeps the field's default or derives it
     valid: tuple | None = None  # a (test, text) pair; every test fails on NaN
     choices: tuple | dict = ()  # the allowed strings, or {command: strings}
-    times_n: str = ""  # the field this option sets as a multiple of n, being no field itself
 
     def check(self, value, command: str) -> None:
         """Reject an out-of-range value, naming the flag."""
@@ -228,9 +207,8 @@ _OPTIONS = (
     _Option("n", int, "--n", _ALL, {"solve": 128, "baseline": 32, "rsc-scan": 64, "verify": 16},
             _within(1)),
     _Option("m", int, "--m", _ALL, {"baseline": 512, "verify": 1024}, _within(1)),
-    # an explicit m wins; an explicit m_over_n beats a command's default m
-    _Option("m_over_n", int, "--m-over-n", _ALL, {"solve": 8, "rsc-scan": 16}, _within(1),
-            times_n="m"),
+    # no field: resolve_config sets m to it times n, unless m is explicit
+    _Option("m_over_n", int, "--m-over-n", _ALL, {"solve": 8, "rsc-scan": 16}, _within(1)),
     _Option("trials", int, "--trials", _ALL,
             {"solve": 200, "baseline": 50, "rsc-scan": 1, "verify": 50}, _within(0)),
     _Option("max_iters", int, "--max-iters", _ALL, None, _within(0)),
@@ -258,6 +236,26 @@ _OPTIONS = (
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _FLAGS = {opt.key: opt.flag for opt in _OPTIONS}
+
+# Rules that tie an option to the run (a command, or "verify" and its lemma),
+# which the option table cannot state: rows of (run, key, test, text), checked
+# in order.  The regimes of lam and sigma restate the library's own domain
+# checks, so that a rejection names the flag.
+_AT_LEAST_ONE = _within(1)  # the count a run needs at least one of
+_RUN_RULES = (
+    ("solve", "trials", *_AT_LEAST_ONE),
+    ("baseline", "trials", *_AT_LEAST_ONE),
+    ("verify covariance", "trials", *_AT_LEAST_ONE),
+    ("verify F", "samples", *_AT_LEAST_ONE),
+    ("verify G", "samples", *_AT_LEAST_ONE),
+    ("verify restricted-ratio", "h_samples", *_AT_LEAST_ONE),
+    ("verify truncated-moment", "h_samples", *_AT_LEAST_ONE),
+    ("verify F", "lam", lambda lam: lam >= 2.95, "be at least 2.95"),
+    ("verify G", "lam", lambda lam: 0.0 <= lam <= 0.4, "be in [0, 0.4]"),
+    ("verify restricted-ratio", "lam", lambda lam: lam >= 3.0, "be at least 3"),
+    ("verify truncated-moment", "lam", lambda lam: 0.0 < lam <= 0.4, "be in (0, 0.4]"),
+    ("verify F", "sigma", lambda sigma: -1.0 < sigma < 1.0, "lie in (-1, 1)"),
+)
 
 
 # execution details do not affect results and stay out of hashes and sidecars
@@ -300,49 +298,34 @@ def _sidecar_base(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _make_signal(cfg: ExperimentConfig, trial_stream: RngStream) -> np.ndarray:
-    gen = trial_stream.substream(TAG_SIGNAL).generator()
+def _draw(cfg: ExperimentConfig, stream: RngStream) -> tuple:
+    """The ensemble and the signal x, of norm cfg.scale, that a trial's stream gives."""
+    ensemble = make_ensemble(cfg.m, cfg.n, cfg.model, stream.substream(TAG_ENSEMBLE))
+    gen = stream.substream(TAG_SIGNAL).generator()
     while True:
         xi = complex_standard_normal(cfg.n, gen)
         norm = np.linalg.norm(xi)
         if norm > 0.0:
-            return cfg.scale * xi / norm
+            return ensemble, cfg.scale * xi / norm
 
 
-def _solve_trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
+def _trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
+    """One trial of `solve` (phaseless rows) or `baseline` (linear rows)."""
     stream = RngStream(cfg.seed, trial)
-    model = Model.parse(cfg.model)
-    ensemble = make_ensemble(cfg.m, cfg.n, model, stream.substream(TAG_ENSEMBLE))
-    x = _make_signal(cfg, stream)
-    b = measure(ensemble, x)
-    if cfg.init == "planted":
-        z0 = planted_init(x, cfg.planted_radius, stream.substream(TAG_INIT))
+    ensemble, x = _draw(cfg, stream)
+    if cfg.command == "solve":
+        rhs, solver = measure(ensemble, x), run_pr
     else:
-        z0 = spectral_init(
-            ensemble,
-            b,
-            InitConfig(norm_estimate=default_norm_model(model)),
-            stream.substream(TAG_INIT),
-        )
-    solver_cfg = SolverConfig(max_iters=cfg.max_iters, ball_radius_rel=cfg.ball_radius)
-    return run_pr(ensemble, b, z0, solver_cfg, stream.substream(TAG_ROWS), truth=x)
-
-
-def _baseline_trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
-    stream = RngStream(cfg.seed, trial)
-    model = Model.parse(cfg.model)
-    ensemble = make_ensemble(cfg.m, cfg.n, model, stream.substream(TAG_ENSEMBLE))
-    x = _make_signal(cfg, stream)
-    y = ensemble.rows.conj() @ x  # consistent by construction
+        rhs, solver = ensemble.rows.conj() @ x, run_linear  # consistent by construction
     if cfg.init == "planted":
         z0 = planted_init(x, cfg.planted_radius, stream.substream(TAG_INIT))
+    elif cfg.init == "spectral":
+        init_cfg = InitConfig(norm_estimate=default_norm_model(ensemble.model))
+        z0 = spectral_init(ensemble, rhs, init_cfg, stream.substream(TAG_INIT))
     else:
         z0 = np.zeros(cfg.n, dtype=np.complex128)
     solver_cfg = SolverConfig(max_iters=cfg.max_iters, ball_radius_rel=cfg.ball_radius)
-    return run_linear(ensemble, y, z0, solver_cfg, stream.substream(TAG_ROWS), truth=x)
-
-
-_TRIAL_RUNNERS = {"solve": _solve_trial, "baseline": _baseline_trial}
+    return solver(ensemble, rhs, z0, solver_cfg, stream.substream(TAG_ROWS), truth=x)
 
 
 class TrialResult(NamedTuple):
@@ -368,9 +351,43 @@ def _write_trace(cfg: ExperimentConfig, t: int, trace: SolverTrace, config_hash:
     _write_json(stem.with_suffix(".json"), doc)
 
 
+@functools.cache
+def _blas_threads() -> tuple | None:
+    """The (set, get) thread-count functions of numpy's OpenBLAS, or None.
+
+    Found by ctypes through numpy's LAPACK extension, which links the library.
+    """
+    lapack = ctypes.CDLL(_umath_linalg.__file__)
+    for setter in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"):
+        getter = setter.replace("_set_", "_get_")
+        if hasattr(lapack, setter) and hasattr(lapack, getter):
+            set_threads, get_threads = getattr(lapack, setter), getattr(lapack, getter)
+            set_threads.argtypes, get_threads.restype = [ctypes.c_int], ctypes.c_int
+            return set_threads, get_threads
+    print("kaczpr: no OpenBLAS thread setter found; spectral runs repeat their "
+          "bytes only at the same BLAS thread count", file=sys.stderr)  # once: cached
+    return None
+
+
+def _pin_blas():
+    """Pin numpy's OpenBLAS to one thread, and return what restores its count.
+
+    np.linalg.eigh's eigenvector, and so every artifact of a spectral run,
+    moves in the last bits with the BLAS thread count.
+    """
+    control = _blas_threads()
+    if control is None:
+        return lambda: None
+    set_threads, get_threads = control
+    before = get_threads()
+    set_threads(1)
+    return lambda: set_threads(before)
+
+
 def _pool_entry(args) -> TrialResult:
+    _pin_blas()  # a worker started by fork inherits the pin, one by forkserver does not
     cfg, trial, digest = args
-    trace = _TRIAL_RUNNERS[cfg.command](cfg, trial)
+    trace = _trial(cfg, trial)
     _write_trace(cfg, trial, trace, digest)
     return TrialResult(trace.dist, trace.stopping_time)
 
@@ -391,8 +408,8 @@ def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     host, creating a file right after a stretch of compute cost 2-3x more
     than creating it in a burst, and writing each trace after its trial
     made `baseline` about 9% slower.  A failing trial raises, possibly
-    after other trials' traces are on disk; only _aggregate writes
-    aggregate.csv and summary.json.
+    after other trials' traces are on disk; aggregate.csv and summary.json
+    are written only after every trial has run.
     """
     digest = config_hash(cfg)
     k_len = cfg.max_iters + 1
@@ -409,7 +426,7 @@ def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         burst = max(1, _WRITE_BURST_BYTES // (8 * (3 * cfg.max_iters + 1)))
         held = {}
         for t in range(cfg.trials):
-            held[t] = trace = _TRIAL_RUNNERS[cfg.command](cfg, t)
+            held[t] = trace = _trial(cfg, t)
             keep(t, trace)
             if len(held) == burst or t == cfg.trials - 1:
                 for s, done in held.items():
@@ -424,7 +441,7 @@ def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out: Path) -> dict:
-    """Write aggregate.csv and summary.json; return the summary document.
+    """Write aggregate.csv; return the summary document, unwritten.
 
     `dists` and `stops` are what _run_trials returns; the median is taken
     in place, so `dists` is overwritten.  mean_dist2 is restricted to
@@ -446,83 +463,65 @@ def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out:
     body = map("{},{},{},{}\n".format, range(k_len), *columns)
     (out / "aggregate.csv").write_text("k,mean_dist2,median_dist,frac_exited\n" + "".join(body))
 
-    frac_exited = float(exited.mean())
     summary = _sidecar_base(cfg)
     summary.update(
         {
             "trials": cfg.trials,
-            "frac_exited": frac_exited,
+            "frac_exited": float(exited.mean()),
             "final_mean_dist2": _finite_or_none(mean_d2[-1]),
             "final_median_dist": _finite_or_none(median_d[-1]),
         }
     )
     if surviving.size and cfg.max_iters > 0:
-        mask = mean_d2[:-1] > FLOOR_DIST_SQ
+        # mean_dist2 is divided, since the floor scaled down would underflow
+        mask = mean_d2[:-1] / cfg.scale**2 > FLOOR_DIST_SQ
+        max_ratio = fitted = None
         if mask.any():
-            max_ratio = _finite_or_none(ratios[mask].max())
             k_eff = int(mask.sum())
+            max_ratio = _finite_or_none(ratios[mask].max())
             fitted = _finite_or_none((mean_d2[k_eff] / mean_d2[0]) ** (1.0 / k_eff))
-        else:
-            max_ratio = None
-            fitted = None
         summary.update(
             {
                 "max_contraction_ratio": max_ratio,
                 "fitted_contraction": fitted,
-                "floor_dist2": FLOOR_DIST_SQ,
+                "floor_dist2": FLOOR_DIST_SQ * cfg.scale**2,
             }
         )
-    _write_json(out / "summary.json", summary)
     return summary
 
 
-def cmd_solve(cfg: ExperimentConfig) -> int:
+def cmd_trials(cfg: ExperimentConfig) -> int:
+    """`solve` or `baseline`: run the trials, then write aggregate.csv and summary.json."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     summary = _aggregate(cfg, *_run_trials(cfg), out)
-    status = 0
-    if cfg.check:
-        rate_bound = 1.0 - RATE_MARGIN / cfg.n
-        exit_bound = cfg.delta**2
+    failure = None
+    if cfg.check and cfg.command == "solve":
+        rate_bound, exit_bound = 1.0 - RATE_MARGIN / cfg.n, cfg.delta**2
         max_ratio = summary.get("max_contraction_ratio")
-        ok_rate = max_ratio is not None and max_ratio <= rate_bound
-        ok_exit = summary["frac_exited"] <= exit_bound
-        summary["checks"] = {
-            "rate_bound": rate_bound,
-            "rate_ok": bool(ok_rate),
-            "exit_bound": exit_bound,
-            "exit_ok": bool(ok_exit),
-        }
-        _write_json(out / "summary.json", summary)
-        if not (ok_rate and ok_exit):
-            print("solve: certified bounds violated", file=sys.stderr)
-            status = 1
-    return status
-
-
-def cmd_baseline(cfg: ExperimentConfig) -> int:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    summary = _aggregate(cfg, *_run_trials(cfg), out)
-    status = 0
-    if cfg.check:
+        rate_ok = max_ratio is not None and max_ratio <= rate_bound
+        exit_ok = summary["frac_exited"] <= exit_bound
+        summary["checks"] = {"rate_bound": rate_bound, "rate_ok": rate_ok,
+                             "exit_bound": exit_bound, "exit_ok": exit_ok}
+        failure = None if rate_ok and exit_ok else "certified bounds violated"
+    elif cfg.check:
+        bound = MEDIAN_ERROR_REL * cfg.scale
         median = summary["final_median_dist"]
-        ok = median is not None and median <= 1e-10
-        summary["checks"] = {"median_error_bound": 1e-10, "median_ok": bool(ok)}
-        _write_json(out / "summary.json", summary)
-        if not ok:
-            print("baseline: median error above bound", file=sys.stderr)
-            status = 1
-    return status
+        median_ok = median is not None and median <= bound
+        summary["checks"] = {"median_error_bound": bound, "median_ok": median_ok}
+        failure = None if median_ok else "median error above bound"
+    _write_json(out / "summary.json", summary)
+    if failure:
+        print(f"{cfg.command}: {failure}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stream = RngStream(cfg.seed, 0)
-    model = Model.parse(cfg.model)
-    ensemble = make_ensemble(cfg.m, cfg.n, model, stream.substream(TAG_ENSEMBLE))
-    x = _make_signal(cfg, stream)
+    ensemble, x = _draw(cfg, stream)
     gen = stream.substream(TAG_SCAN).generator()
     xnorm = float(np.linalg.norm(x))
     xhat = x / xnorm
@@ -591,7 +590,7 @@ def _verify_reports(cfg: ExperimentConfig) -> list:
         return [report, agree_report]
     if name == "G":
         params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma)
-        return mc_G_reports(params, cfg.samples, stream, bounds=("closed", "loose"))
+        return mc_G_reports(params, cfg.samples, stream)
     if name == "covariance":
         return [check_covariance(cfg.n, cfg.m, cfg.delta, cfg.trials, stream)]
     if name == "restricted-ratio":
@@ -605,14 +604,14 @@ def _verify_reports(cfg: ExperimentConfig) -> list:
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
     reports = _verify_reports(cfg)
-    base = _sidecar_base(cfg)
+    stamp = {"seed": cfg.seed, "generator": GENERATOR_ID, "config_hash": config_hash(cfg)}
     out = Path(cfg.out_dir) if cfg.out_dir else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
     all_passed = True
     for report in reports:
         doc = report.to_dict()
-        doc.update({"seed": cfg.seed, "generator": GENERATOR_ID, "config_hash": base["config_hash"]})
+        doc.update(stamp)
         print(json.dumps(doc, sort_keys=True))
         if out is not None:
             _write_json(out / f"report_{report.name}.json", doc)
@@ -621,8 +620,8 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
 
 
 _COMMANDS = {
-    "solve": (cmd_solve, "convergence-rate trials"),
-    "baseline": (cmd_baseline, "linear row-projection baseline"),
+    "solve": (cmd_trials, "convergence-rate trials"),
+    "baseline": (cmd_trials, "linear row-projection baseline"),
     "rsc-scan": (cmd_rsc_scan, "curvature margin scan in the trust ball"),
     "verify": (cmd_verify, "Monte Carlo bound reports"),
 }
@@ -676,13 +675,12 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
             values[key] = val
             provided.add(key)
 
-    for opt in _OPTIONS:
-        ratio = values.pop(opt.key) if opt.times_n else None
-        if ratio is None:
-            continue
-        opt.check(ratio, command)
-        if values[opt.times_n] is None or (opt.key in provided and opt.times_n not in provided):
-            values[opt.times_n] = ratio * values["n"]
+    # an explicit m wins; an explicit m_over_n beats a command's default m
+    ratio = values.pop("m_over_n")
+    if ratio is not None:
+        _BY_KEY["m_over_n"].check(ratio, command)
+        if values["m"] is None or ("m_over_n" in provided and "m" not in provided):
+            values["m"] = ratio * values["n"]
     if values["max_iters"] is None:
         values["max_iters"] = (50 if command == "baseline" else 40) * values["n"]
     given = {key: val for key, val in values.items() if val is not None}
@@ -692,12 +690,15 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cli_values = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
+    restore_blas = _pin_blas()  # restored on return, for in-process callers
     try:
         cfg = resolve_config(args.command, cli_values, args.config)
         return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"kaczpr: {exc}", file=sys.stderr)
         return 2
+    finally:
+        restore_blas()
 
 
 if __name__ == "__main__":

@@ -6,10 +6,10 @@ fixed forever in this repository.  Its integer and uniform stages give the
 same bits on every machine; the floating-point transforms (Box-Muller) and
 the solvers built on them may move in the last bit between numpy or BLAS
 builds, so experiments replay bit-identically across runs with the same
-numpy and BLAS build and the same BLAS thread count.  The thread count
-matters for spectral initialization, whose dense eigensolver returns an
-eigenvector that moves in the last bits between thread counts.  The
-contract:
+numpy and BLAS build.  The dense eigensolver of spectral initialization
+moves in the last bits between BLAS thread counts, so the CLI pins
+OpenBLAS to one thread; where it finds no setter for that, replay also
+needs the same BLAS thread count.  The contract:
 
 * Bit source: Philox-4x64-10 counter-based generator, keyed by the two
   64-bit words ``(seed, stream_id)``, counter starting at zero.

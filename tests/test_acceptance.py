@@ -29,7 +29,7 @@ from kaczpr import (
     planted_init,
     series_F,
 )
-from kaczpr.cli import _baseline_trial, _solve_trial, main, resolve_config
+from kaczpr.cli import _trial, main, resolve_config
 from kaczpr.rng import complex_standard_normal
 from conftest import unit_signal
 
@@ -50,7 +50,7 @@ def solve_run():
              planted_radius=0.005, delta=0.5),
         None,
     )
-    traces = [_solve_trial(cfg, t) for t in range(cfg.trials)]
+    traces = [_trial(cfg, t) for t in range(cfg.trials)]
     return cfg, traces
 
 
@@ -187,7 +187,7 @@ def test_a10_linear_baseline():
     finals = []
     monotone = True
     for t in range(cfg.trials):
-        trace = _baseline_trial(cfg, t)
+        trace = _trial(cfg, t)
         finals.append(trace.dist[-1])
         monotone = monotone and bool(
             np.all(trace.dist[1:] <= trace.dist[:-1] * (1.0 + 1e-10) + 1e-15)

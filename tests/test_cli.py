@@ -140,7 +140,7 @@ def test_unwritable_output_reports_error(tmp_path, capsys):
 
 
 def test_trace_regenerates_from_sidecar_config(tmp_path):
-    from kaczpr.cli import _solve_trial
+    from kaczpr.cli import _trial
 
     out = tmp_path / "run"
     assert run_cli(["solve", "--n", "10", "--m", "80", "--trials", "2", "--max-iters", "30",
@@ -148,7 +148,7 @@ def test_trace_regenerates_from_sidecar_config(tmp_path):
     stored = read_json(out / "summary.json")["config"]
     cfg = ExperimentConfig(out_dir="unused", **stored)
     sidecar = read_json(out / "trace_0001.json")
-    trace = _solve_trial(cfg, sidecar["trial"])
+    trace = _trial(cfg, sidecar["trial"])
     regen = tmp_path / "regen.csv"
     trace.to_csv(regen)
     assert regen.read_bytes() == (out / "trace_0001.csv").read_bytes()
@@ -348,11 +348,11 @@ def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, tri
 
 
 def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
-    from kaczpr.cli import _aggregate, _fmt, _solve_trial
+    from kaczpr.cli import _aggregate, _fmt, _trial
 
     cfg = resolve_config("solve", {"n": 8, "m": 64, "trials": 3, "max_iters": 40, "seed": 5,
                                    "out_dir": str(tmp_path)}, None)
-    traces = [_solve_trial(cfg, t) for t in range(3)]
+    traces = [_trial(cfg, t) for t in range(3)]
     dists = np.stack([t.dist for t in traces])
     k_axis = np.arange(41)
     for stops, surviving in (((None, 7, None), [0, 2]), ((3, 7, 0), [])):
@@ -444,7 +444,7 @@ def test_serial_bursts_keep_artifacts_byte_identical(tmp_path, monkeypatch):
     args = ["solve", "--n", "4", "--m", "32", "--trials", "3", "--max-iters", "20000",
             "--seed", "3", "--serial"]
     events = []
-    real_runner, real_write = cli._solve_trial, cli._write_trace
+    real_runner, real_write = cli._trial, cli._write_trace
 
     def runner(cfg, t):
         events.append(f"run {t}")
@@ -454,7 +454,7 @@ def test_serial_bursts_keep_artifacts_byte_identical(tmp_path, monkeypatch):
         events.append(f"write {t}")
         real_write(cfg, t, *rest)
 
-    monkeypatch.setitem(cli._TRIAL_RUNNERS, "solve", runner)
+    monkeypatch.setattr(cli, "_trial", runner)
     monkeypatch.setattr(cli, "_write_trace", write)
     outputs = []
     orders = {
@@ -738,6 +738,11 @@ def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
     (["verify", "truncated-moment", "--lambda", "0.4", "--h-samples", "0"], {}, {}, "--h-samples"),
     (["baseline", "--trials", "0"], {}, {}, "--trials"),
     (["solve"], {"KACZPR_MODEL": "foo"}, {}, "--model"),
+    (["solve", "--trials", "0"], {}, {}, "--trials"),
+    (["verify", "restricted-ratio", "--h-samples", "0"], {}, {}, "--h-samples"),
+    (["verify", "F", "--lambda", "2"], {}, {}, "--lambda"),
+    (["verify", "restricted-ratio", "--lambda", "2.5"], {}, {}, "--lambda"),
+    (["verify", "truncated-moment", "--lambda", "0"], {}, {}, "--lambda"),
 ])
 def test_out_of_range_values_name_the_flag(tmp_path, monkeypatch, capsys, args, env, doc, flag):
     for name, value in env.items():
@@ -748,6 +753,84 @@ def test_out_of_range_values_name_the_flag(tmp_path, monkeypatch, capsys, args, 
     assert run_cli([*args, "--out", str(tmp_path / "out")]) == 2
     assert re.search(rf"kaczpr: {re.escape(flag)}(?![\w-])", capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("args, message, verdict", [
+    (["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "50"],
+     "solve: certified bounds violated", "rate_ok"),
+    (["baseline", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "5"],
+     "baseline: median error above bound", "median_ok"),
+])
+def test_failed_check_exits_1_and_records_the_verdict(tmp_path, capsys, args, message, verdict):
+    assert run_cli([*args, "--check", "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.endswith(message + "\n")
+    assert read_json(tmp_path / "summary.json")["checks"][verdict] is False
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--n", "16", "--trials", "32"],
+    ["baseline", "--trials", "10"],
+])
+def test_check_verdicts_do_not_depend_on_the_scale(tmp_path, args):
+    runs = {}
+    for scale in (1.0, 1e-20, 1e20):
+        out = tmp_path / str(scale)
+        rc = run_cli([*args, "--check", "--serial", "--scale", repr(scale), "--out", str(out)])
+        runs[scale] = rc, read_json(out / "summary.json")
+    rc_1, at_1 = runs[1.0]
+    assert rc_1 == 0
+    for scale in (1e-20, 1e20):
+        rc, doc = runs[scale]
+        assert rc == rc_1
+        assert ({k: v for k, v in doc["checks"].items() if k.endswith("_ok")}
+                == {k: v for k, v in at_1["checks"].items() if k.endswith("_ok")})
+        assert doc.keys() == at_1.keys()
+        if "floor_dist2" in doc:  # not for baseline's zero start, which leaves the ball
+            assert doc["floor_dist2"] == pytest.approx(1e-24 * scale**2, rel=1e-15)
+            for key in ("max_contraction_ratio", "fitted_contraction"):
+                assert doc[key] == pytest.approx(at_1[key], rel=1e-9)
+        if "median_error_bound" in doc["checks"]:
+            assert doc["checks"]["median_error_bound"] == pytest.approx(1e-10 * scale, rel=1e-15)
+
+
+def test_main_pins_one_blas_thread_and_restores_the_count(tmp_path, monkeypatch):
+    import kaczpr.cli as cli
+
+    control = cli._blas_threads()
+    if control is None:
+        pytest.skip("no OpenBLAS thread setter in this numpy build")
+    set_threads, get_threads = control
+    seen, real_trial = [], cli._trial
+
+    def trial(cfg, t):
+        seen.append(get_threads())
+        return real_trial(cfg, t)
+
+    monkeypatch.setattr(cli, "_trial", trial)
+    before = get_threads()
+    try:
+        set_threads(2)
+        expected = get_threads()
+        if expected == 1:
+            pytest.skip("this OpenBLAS runs one thread at most")
+        assert run_cli(["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "5",
+                        "--out", str(tmp_path)]) == 0
+        assert seen == [1, 1]
+        assert get_threads() == expected
+    finally:
+        set_threads(before)
+
+
+def test_without_a_blas_setter_the_run_goes_on_and_says_so(tmp_path, monkeypatch, capsys):
+    import kaczpr.cli as cli
+    from numpy.random import _philox  # an extension module that links no BLAS
+
+    monkeypatch.setattr(cli, "_umath_linalg", _philox)
+    assert cli._blas_threads.__wrapped__() is None
+    assert "no OpenBLAS thread setter found" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "_blas_threads", lambda: None)
+    assert run_cli(["solve", "--n", "8", "--m", "64", "--trials", "1", "--max-iters", "5",
+                    "--out", str(tmp_path)]) == 0
 
 
 _NAN, _INF, _TINY = float("nan"), float("inf"), sys.float_info.min
@@ -866,11 +949,16 @@ def test_in_range_value_resolves_alike_from_every_source(key, flag, command, bad
         assert getattr(from_flag, key) == value
 
 
-# Spectral init is left out: np.linalg.eigh's eigenvector moves in the last
-# bits between BLAS thread counts, so a spectral run repeats its bytes only at
-# the same BLAS thread count.
+# np.linalg.eigh's eigenvector moves in the last bits between BLAS thread
+# counts, so the spectral runs hold only because main pins one BLAS thread.
+# They run at n = 128: at n = 64 and below, eigh gave the same bits at 1 and 2
+# threads without the pin (2 cores, OpenBLAS 0.3.31).
 _THREAD_INVARIANT_RUNS = [
     ["solve", "--n", "16", "--m", "256", "--trials", "3", "--max-iters", "300", "--serial"],
+    ["solve", "--n", "128", "--trials", "2", "--max-iters", "50", "--init", "spectral",
+     "--ball", "1.0", "--serial"],
+    ["solve", "--n", "128", "--trials", "2", "--max-iters", "50", "--init", "spectral",
+     "--ball", "1.0", "--threads", "2"],
     ["baseline", "--n", "16", "--m", "256", "--trials", "3", "--max-iters", "300", "--serial"],
     ["rsc-scan", "--n", "32", "--m", "1024", "--samples", "20"],
     ["verify", "covariance", "--n", "32", "--m", "1024", "--trials", "3"],
@@ -904,7 +992,8 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
         listings.append(_sha256_listing(out))
-    assert len(listings[0]) == 20  # 8 each from solve and baseline, 2 from rsc-scan, 1 per verify
+    # 8 each from planted solve and baseline, 6 per spectral solve, 2 from rsc-scan, 1 per verify
+    assert len(listings[0]) == 32
     assert listings[0] == listings[1]
 
 

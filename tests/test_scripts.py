@@ -1,3 +1,5 @@
+import json
+import re
 import runpy
 from pathlib import Path
 
@@ -24,7 +26,9 @@ def test_lemma_grid_runs_and_prints_the_series(capsys):
 def test_convergence_script_runs_both_experiments(tmp_path, capsys):
     run = _script("run_convergence.py")
     assert run(["--n", "16", "--trials", "24", "--out", str(tmp_path)]) == 0
-    assert "certified bound" in capsys.readouterr().out
+    printed = re.search(r"certified bound (\S+)", capsys.readouterr().out).group(1)
+    checks = json.loads((tmp_path / "solve" / "summary.json").read_text())["checks"]
+    assert printed == f"{checks['rate_bound']:.6f}"
     assert (tmp_path / "solve" / "aggregate.csv").is_file()
     assert (tmp_path / "baseline" / "aggregate.csv").is_file()
 

@@ -27,11 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import aligned_error, as_cvector, optimal_phase
+from .geometry import _row_blocks, aligned_error, as_cvector, optimal_phase
 from .kaczmarz import SolverTrace
 from .sampling import Ensemble, Measurements
 
 _EPS = np.finfo(np.float64).eps
+
+# Budget of each of expected_step's two row-block buffers: 128 rows at
+# n = 128.  A block holds a multiple of 4 rows, at least 4, so that its
+# products keep the whole-matrix bits (see _row_blocks).
+_STEP_BLOCK_BYTES = 1 << 18
 
 
 def _row_products(ensemble: Ensemble, *vectors: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -225,30 +230,43 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
     """Exact row-average of dist^2 after one update: no sampling error.
 
     Rows with a_j^* z = 0 take the phase-one fallback step, matching the
-    solver.  At most two m x n temporaries are live at once.
+    solver.  The rows are processed in blocks of about _STEP_BLOCK_BYTES
+    each, through two block buffers allocated once per call, so the
+    working set stays in cache whatever m is.
     """
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")
     _check_dims(ensemble, x, z)
     if b.m != ensemble.m:
         raise ValueError("measurement count does not match ensemble")
-    (P,) = _row_products(ensemble, z)
-    absP = np.abs(P)
-    safe = np.where(absP > 0.0, absP, 1.0)
-    coeff = np.where(
-        absP > 0.0,
-        (1.0 - b.values / safe) * P,
-        -b.values.astype(np.complex128),
-    )
-    coeff = coeff / ensemble.row_norms_sq
-    stepped = np.multiply(coeff[:, None], ensemble.rows)
-    np.subtract(z[None, :], stepped, out=stepped)
-    overlaps = stepped @ x.conj()
-    mags = np.abs(overlaps)
-    phases = np.where(mags > 0.0, overlaps / np.where(mags > 0.0, mags, 1.0), 1.0)
-    diff = np.multiply(phases[:, None], x[None, :])
-    np.subtract(stepped, diff, out=diff)
-    d2 = np.einsum("ij,ij->i", diff.real, diff.real) + np.einsum("ij,ij->i", diff.imag, diff.imag)
+    m, n = ensemble.m, ensemble.n
+    block = max(4, _STEP_BLOCK_BYTES // (16 * n) // 4 * 4)
+    stepped = np.empty((min(block + 1, m), n), dtype=np.complex128)
+    diff = np.empty_like(stepped)
+    x_conj = x.conj()
+    d2 = np.empty(m)
+    for lo, hi in _row_blocks(m, block):
+        rows, values = ensemble.rows[lo:hi], b.values[lo:hi]
+        s, t = stepped[: hi - lo], diff[: hi - lo]
+        P = np.conjugate(rows, out=s) @ z
+        absP = np.abs(P)
+        safe = np.where(absP > 0.0, absP, 1.0)
+        coeff = np.where(
+            absP > 0.0,
+            (1.0 - values / safe) * P,
+            -values.astype(np.complex128),
+        )
+        coeff = coeff / ensemble.row_norms_sq[lo:hi]
+        np.multiply(coeff[:, None], rows, out=s)
+        np.subtract(z[None, :], s, out=s)
+        overlaps = s @ x_conj
+        mags = np.abs(overlaps)
+        phases = np.where(mags > 0.0, overlaps / np.where(mags > 0.0, mags, 1.0), 1.0)
+        np.multiply(phases[:, None], x[None, :], out=t)
+        np.subtract(s, t, out=t)
+        d2[lo:hi] = np.einsum("ij,ij->i", t.real, t.real) + np.einsum(
+            "ij,ij->i", t.imag, t.imag
+        )
     return float(np.mean(d2))
 
 

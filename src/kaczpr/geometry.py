@@ -84,6 +84,21 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", flat, flat))
 
 
+def _row_blocks(count: int, size: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds that cut `count` rows into blocks of `size` rows.
+
+    With `size` a multiple of 4, a matrix-vector product taken block by
+    block gives the bits of the whole-matrix product in every case tried
+    (blocks of 3 rows did not).  A one-row tail joins the block before it,
+    since numpy takes a one-row product as a dot product, which rounds
+    unlike the same row inside a matrix.
+    """
+    edges = list(range(0, count, size)) + [count]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return list(zip(edges, edges[1:]))
+
+
 def aligned_error(z, x) -> np.ndarray:
     """Residual after optimal phase alignment: e^{-i phase} z - x.
 

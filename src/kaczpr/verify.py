@@ -35,11 +35,16 @@ from enum import Enum
 
 import numpy as np
 
+from .geometry import _row_blocks
 from .initializers import real_overlap_direction
 from .rng import RngStream, complex_standard_normal
 from .sampling import Model, make_ensemble
 
 _BATCH = 1 << 17
+# Samples per slice of a batch's arithmetic, so that the temporaries after
+# the draws stay in cache.  A multiple of 4, so that full mode's products
+# keep the whole-batch bits (see geometry._row_blocks).
+_SLICE = 1 << 12
 
 
 class Direction(Enum):
@@ -151,27 +156,40 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
         h = sigma * x + tau * perp / pnorm
 
     def batch(chunk: int) -> np.ndarray:
-        # one function call per batch, so a batch's temporaries are freed
-        # before the next batch draws
+        # one function call per batch, so a batch's draws are freed before
+        # the next batch draws; the draws stay whole, in stream order, and
+        # the arithmetic on them runs in _SLICE-sample slices into vals
         if mode == "reduced":
             xi1 = complex_standard_normal(chunk, gen)
             xi2 = complex_standard_normal(chunk, gen)
-            phi = 2.0 * np.pi * gen.random(chunk)
-            xs_x = sigma * xi1.conj() + tau * np.exp(1j * phi) * xi2.conj()  # xi^* x
-            hs_xi = xi1                                                       # h^* xi
-            xs_h = xi1.conj()                                                 # xi^* h
+            uniforms = gen.random(chunk)
         else:
             xi = complex_standard_normal(chunk * dim, gen).reshape(chunk, dim)
-            xs_x = xi.conj() @ x
-            xs_h = xi.conj() @ h
-            hs_xi = xs_h.conj()
-        if kind == "F":
-            mags = np.abs(xs_x)
-            with np.errstate(over="ignore"):  # lam * mags = inf still compares right
-                keep = lam * mags >= np.abs(xs_h)
-            safe = np.where(mags > 0.0, mags, 1.0)
-            return np.where(keep & (mags > 0.0), (hs_xi * xs_x).real ** 2 / safe**2, 0.0)
-        return np.abs(xs_h) ** 2 * (np.abs(xs_x) <= lam * np.abs(xs_h))
+        vals = np.empty(chunk)
+        for lo, hi in _row_blocks(chunk, _SLICE):
+            if mode == "reduced":
+                phi = 2.0 * np.pi * uniforms[lo:hi]
+                xs_x = (  # xi^* x
+                    sigma * xi1[lo:hi].conj() + tau * np.exp(1j * phi) * xi2[lo:hi].conj()
+                )
+                hs_xi = xi1[lo:hi]   # h^* xi
+                xs_h = hs_xi.conj()  # xi^* h
+            else:
+                rows = xi[lo:hi].conj()
+                xs_x = rows @ x
+                xs_h = rows @ h
+                hs_xi = xs_h.conj()
+            if kind == "F":
+                mags = np.abs(xs_x)
+                with np.errstate(over="ignore"):  # lam * mags = inf still compares right
+                    keep = lam * mags >= np.abs(xs_h)
+                safe = np.where(mags > 0.0, mags, 1.0)
+                vals[lo:hi] = np.where(
+                    keep & (mags > 0.0), (hs_xi * xs_x).real ** 2 / safe**2, 0.0
+                )
+            else:
+                vals[lo:hi] = np.abs(xs_h) ** 2 * (np.abs(xs_x) <= lam * np.abs(xs_h))
+        return vals
 
     total = 0.0
     total_sq = 0.0

@@ -480,6 +480,43 @@ def test_expected_step_fallback_rows_match_reference_bit_for_bit():
         assert _bits(expected_step(e, b, x, start)) == _bits(_ref_expected_step(e, b, x, start))
 
 
+def test_expected_step_in_four_row_blocks_matches_reference_bit_for_bit(monkeypatch):
+    import kaczpr.analysis as analysis
+
+    monkeypatch.setattr(analysis, "_STEP_BLOCK_BYTES", 1)  # the smallest block, 4 rows
+    for k, (n, m) in enumerate([(3, 1), (3, 2), (5, 3), (4, 7), (8, 13), (17, 301)]):
+        for model in (Model.UNIT_SPHERE, Model.COMPLEX_GAUSSIAN):
+            root = RngStream(35000 + k, 0 if model is Model.UNIT_SPHERE else 1)
+            e = make_ensemble(m, n, model, root.substream(1))
+            x = 3.0 * unit_signal(n, root.substream(2))
+            b = measure(e, x)
+            for z in (planted_init(x, 0.005, root.substream(3)),
+                      sample_complex_gaussian(n, root.substream(4))):
+                assert _bits(expected_step(e, b, x, z)) == _bits(_ref_expected_step(e, b, x, z))
+    e, x, z = _block_ensemble()  # rows 0..3, the fallback rows, make up the first block
+    b = measure(e, x)
+    for start in (z, 0.5 * z, z + 1e-3 * x):
+        assert _bits(expected_step(e, b, x, start)) == _bits(_ref_expected_step(e, b, x, start))
+
+
+def test_expected_step_peaks_below_1_mib():
+    import tracemalloc
+
+    root = RngStream(36000, 0)
+    e = make_ensemble(4096, 64, Model.UNIT_SPHERE, root.substream(1))
+    x = unit_signal(64, root.substream(2))
+    b = measure(e, x)
+    z = planted_init(x, 0.005, root.substream(3))
+    expected_step(e, b, x, z)  # one-time allocations stay out of the measured call
+    tracemalloc.start()
+    try:
+        expected_step(e, b, x, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+
+
 def _error_of(fn, *args):
     try:
         fn(*args)

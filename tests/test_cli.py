@@ -198,6 +198,19 @@ def test_verify_f_stdout_and_exit(tmp_path, capsys):
     assert (out / "report_F.json").exists()
 
 
+def test_verify_g_writes_each_ceiling_to_its_own_report(tmp_path, capsys):
+    out = tmp_path / "ver"
+    rc = run_cli(["verify", "G", "--lambda", "0.4", "--sigma", "0.5", "--samples", "20000",
+                  "--seed", "8", "--out", str(out)])
+    assert rc == 0
+    docs = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
+    assert [d["name"] for d in docs] == ["G", "G"]
+    assert docs[0]["bound"] < docs[1]["bound"]  # the closed ceiling, then the loose one
+    assert sorted(p.name for p in out.iterdir()) == ["report_G.json", "report_G_loose.json"]
+    assert read_json(out / "report_G.json") == docs[0]
+    assert read_json(out / "report_G_loose.json") == docs[1]
+
+
 def test_verify_g_domain_error():
     assert run_cli(["verify", "G", "--lambda", "0.9", "--seed", "1"]) == 2
 

@@ -126,3 +126,18 @@ def test_distance_symmetry_and_triangle(pair):
     if np.linalg.norm(x) > 0 and np.linalg.norm(z) > 0:
         assert abs(dist(z, x) - dist(x, z)) <= 1e-12 * scale
     assert dist(z, x) <= np.linalg.norm(z - x) * (1.0 + 1e-12) + 1e-15 * scale
+
+
+def test_row_blocks_keep_the_whole_matrix_product_bits():
+    from kaczpr.geometry import _row_blocks
+
+    assert _row_blocks(1, 4) == [(0, 1)]
+    assert _row_blocks(5, 4) == [(0, 5)]  # a one-row tail joins the block before it
+    assert _row_blocks(10, 4) == [(0, 4), (4, 8), (8, 10)]
+    for k, (n, m) in enumerate([(2, 5), (5, 13), (8, 13), (3, 17), (16, 33), (7, 30)]):
+        rows = _vec(m * n, 37000 + k).reshape(m, n).conj()
+        v = _vec(n, 37100 + k)
+        whole = (rows @ v).view(np.uint64)
+        for size in (4, 8):
+            got = np.concatenate([rows[lo:hi] @ v for lo, hi in _row_blocks(m, size)])
+            assert np.array_equal(got.view(np.uint64), whole)

@@ -345,7 +345,31 @@ def test_mc_scalar_matches_reference_loop_bit_for_bit(monkeypatch, kind, lam, mo
     import kaczpr.verify as verify
 
     monkeypatch.setattr(verify, "_BATCH", 1000)  # several batches and a short last one
+    # several slices per batch and a short last one; at 1065 samples the
+    # last batch is one slice plus a one-sample tail
+    monkeypatch.setattr(verify, "_SLICE", 64)
     params = LemmaParams(lam=lam, sigma=0.6)
-    got = verify._mc_scalar(params, 3500, RngStream(207, 0), kind, mode, 5)
-    want = _ref_mc_scalar(params, 3500, RngStream(207, 0), kind, mode, 5)
-    assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+    for samples in (3500, 1065):
+        got = verify._mc_scalar(params, samples, RngStream(207, 0), kind, mode, 5)
+        want = _ref_mc_scalar(params, samples, RngStream(207, 0), kind, mode, 5)
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+def test_mc_scalar_batch_peaks_below_8_mib():
+    import tracemalloc
+
+    from kaczpr.verify import mc_G_reports
+
+    calls = [
+        lambda: mc_F(LemmaParams(lam=3.0, sigma=0.6), 1 << 17, RngStream(208, 0)),
+        lambda: mc_G_reports(LemmaParams(lam=0.4, sigma=0.6), 1 << 17, RngStream(208, 0)),
+    ]
+    for call in calls:
+        call()  # one-time allocations stay out of the measured call
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20

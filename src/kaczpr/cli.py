@@ -4,7 +4,9 @@ Subcommands: solve | rsc-scan | verify | baseline.  Every run is a pure
 function of its resolved configuration; all randomness flows from --seed
 through per-trial streams (stream_id = trial index) and purpose substreams.
 Value precedence is CLI flag > KACZPR_* environment variable > --config
-JSON > built-in default.  Serial and threaded runs produce identical bytes:
+JSON > built-in default.  A run (a command, or verify and one lemma) rejects
+a flag or config key that its rows of _OPTIONS do not name, and ignores such
+a KACZPR_* variable.  Serial and threaded runs produce identical bytes:
 workers are deterministic per trial and aggregation happens in trial order.
 
 Artifacts are plot-ready CSVs plus JSON sidecars; each sidecar embeds the
@@ -68,10 +70,13 @@ MEDIAN_ERROR_REL = 1e-10  # baseline's median error bound, relative to scale
 RATE_MARGIN = 0.03  # certified per-step decrement is RATE_MARGIN / n
 MIN_SCALE, MAX_SCALE = 1e-150, 1e150
 
-_ALL = ("solve", "baseline", "rsc-scan", "verify")
-_SOLVERS = ("solve", "baseline")
-_ANY_INIT = ("planted", "spectral", "zero")
 _LEMMAS = ("F", "G", "covariance", "restricted-ratio", "truncated-moment")
+_SOLVERS = ("solve", "baseline")
+_DRAWN = (*_SOLVERS, "rsc-scan")  # the runs that draw a signal from an ensemble
+_SCALARS = ("verify F", "verify G")
+_SCANS = ("verify restricted-ratio", "verify truncated-moment")
+_SIZED = (*_DRAWN, "verify covariance", *_SCANS)  # the runs that take n and m
+_ALL = (*_DRAWN, *(f"verify {lemma}" for lemma in _LEMMAS))
 
 
 @dataclass(frozen=True)
@@ -105,7 +110,7 @@ class ExperimentConfig:
         for opt in _OPTIONS:
             if opt.key != "m_over_n":  # no field: resolve_config turns it into m
                 opt.check(getattr(self, opt.key), self.command)
-        run = f"verify {self.lemma}" if self.command == "verify" else self.command
+        run = f"{self.command} {self.lemma}".rstrip()
         for rule_run, key, test, text in _RUN_RULES:
             if rule_run == run and not test(getattr(self, key)):
                 raise ValueError(f"{_FLAGS[key]} must {text} for {run}")
@@ -170,18 +175,17 @@ class _Option(NamedTuple):
     key: str  # the ExperimentConfig field, the config key and the variable's suffix
     kind: type  # int, float, bool or str
     flag: str
-    commands: tuple  # the subcommands whose parser takes the flag
+    runs: tuple  # the runs that read the key; the rest keep its default
     default: object = None  # or {command: value}; None keeps the field's default or derives it
     valid: tuple | None = None  # a (test, text) pair; every test fails on NaN
     choices: tuple | dict = ()  # the allowed strings, or {command: strings}
 
     def check(self, value, command: str) -> None:
         """Reject an out-of-range value, naming the flag."""
-        allowed = _for_command(self.choices, command)
-        if allowed and value not in allowed:
+        names = _for_command(self.choices, command)
+        if names and value not in names:
             per = f" for {command}" if isinstance(self.choices, dict) else ""
-            raise ValueError(f"{self.flag} must be one of {', '.join(allowed)}{per}, "
-                             f"got {value!r}")
+            raise ValueError(f"{self.flag} must be one of {', '.join(names)}{per}, got {value!r}")
         if self.valid is not None and not self.valid[0](value):
             raise ValueError(f"{self.flag} must {self.valid[1]}, got {value!r}")
 
@@ -202,54 +206,46 @@ _OPTIONS = (
     _Option("out_dir", str, "--out", _ALL,
             {"solve": "results/solve", "baseline": "results/baseline",
              "rsc-scan": "results/rsc_scan", "verify": ""}),
-    _Option("threads", int, "--threads", _ALL, None, _within(1)),
-    _Option("serial", bool, "--serial", _ALL),
-    _Option("n", int, "--n", _ALL, {"solve": 128, "baseline": 32, "rsc-scan": 64, "verify": 16},
+    _Option("threads", int, "--threads", _SOLVERS, None, _within(1)),
+    _Option("serial", bool, "--serial", _SOLVERS),
+    _Option("n", int, "--n", _SIZED, {"solve": 128, "baseline": 32, "rsc-scan": 64, "verify": 16},
             _within(1)),
-    _Option("m", int, "--m", _ALL, {"baseline": 512, "verify": 1024}, _within(1)),
+    _Option("m", int, "--m", _SIZED, {"baseline": 512, "verify": 1024}, _within(1)),
     # no field: resolve_config sets m to it times n, unless m is explicit
-    _Option("m_over_n", int, "--m-over-n", _ALL, {"solve": 8, "rsc-scan": 16}, _within(1)),
-    _Option("trials", int, "--trials", _ALL,
-            {"solve": 200, "baseline": 50, "rsc-scan": 1, "verify": 50}, _within(0)),
-    _Option("max_iters", int, "--max-iters", _ALL, None, _within(0)),
-    _Option("delta", float, "--delta", _ALL,
+    _Option("m_over_n", int, "--m-over-n", _SIZED, {"solve": 8, "rsc-scan": 16}, _within(1)),
+    _Option("trials", int, "--trials", (*_SOLVERS, "verify covariance"),
+            {"solve": 200, "baseline": 50, "rsc-scan": 1, "verify": 50}, _within(1)),
+    _Option("max_iters", int, "--max-iters", _SOLVERS, None, _within(0)),
+    _Option("delta", float, "--delta", ("solve", "verify covariance", *_SCANS),
             {"solve": 0.5, "baseline": 1.0, "rsc-scan": 0.5, "verify": 0.5},
             (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
-    _Option("model", str, "--model", _ALL, "sphere", choices=tuple(m.value for m in Model)),
+    _Option("model", str, "--model", _DRAWN, "sphere", choices=tuple(m.value for m in Model)),
     # squared distances up to (2 * scale)^2 must stay representable
-    _Option("scale", float, "--scale", _ALL, None, _within(MIN_SCALE, MAX_SCALE)),
-    # rsc-scan and verify read no init, so they take any that solve or baseline takes
+    _Option("scale", float, "--scale", _DRAWN, None, _within(MIN_SCALE, MAX_SCALE)),
     _Option("init", str, "--init", _SOLVERS,
             {"solve": "planted", "baseline": "zero", "rsc-scan": "planted", "verify": "planted"},
-            choices={"solve": ("planted", "spectral"), "baseline": ("zero", "planted"),
-                     "rsc-scan": _ANY_INIT, "verify": _ANY_INIT}),
+            choices={"solve": ("planted", "spectral"), "baseline": ("zero", "planted")}),
     _Option("planted_radius", float, "--radius", _SOLVERS,
             {"solve": 0.005, "baseline": 0.0, "rsc-scan": 0.0, "verify": 0.0},
             (lambda v: 0.0 <= v < math.inf, "be finite and at least 0")),
-    _Option("lam", float, "--lambda", ("verify",), None, (math.isfinite, "be finite")),
-    _Option("sigma", float, "--sigma", ("verify",), None, _within(-1.0, 1.0)),
-    _Option("samples", int, "--samples", ("rsc-scan", "verify"), {"verify": 10**6}, _within(0)),
+    _Option("lam", float, "--lambda", (*_SCALARS, *_SCANS), None, (math.isfinite, "be finite")),
+    _Option("sigma", float, "--sigma", _SCALARS, None, _within(-1.0, 1.0)),
+    _Option("samples", int, "--samples", ("rsc-scan", *_SCALARS), {"verify": 10**6}, _within(0)),
     _Option("ball_radius", float, "--ball", ("solve", "rsc-scan"), None, _within(0.0, 1.0)),
-    _Option("h_samples", int, "--h-samples", ("verify",), None, _within(0)),
+    _Option("h_samples", int, "--h-samples", _SCANS, None, _within(1)),
     _Option("check", bool, "--check", _SOLVERS),
     _Option("allow_radius_override", bool, "--allow-radius-override", ("solve",)),
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _FLAGS = {opt.key: opt.flag for opt in _OPTIONS}
 
-# Rules that tie an option to the run (a command, or "verify" and its lemma),
-# which the option table cannot state: rows of (run, key, test, text), checked
-# in order.  The regimes of lam and sigma restate the library's own domain
-# checks, so that a rejection names the flag.
-_AT_LEAST_ONE = _within(1)  # the count a run needs at least one of
+# Ranges that differ between the runs that take an option, which the option
+# table cannot state: rows of (run, key, test, text), checked in order.  The
+# regimes of lam and sigma restate the library's own domain checks, so that a
+# rejection names the flag.
 _RUN_RULES = (
-    ("solve", "trials", *_AT_LEAST_ONE),
-    ("baseline", "trials", *_AT_LEAST_ONE),
-    ("verify covariance", "trials", *_AT_LEAST_ONE),
-    ("verify F", "samples", *_AT_LEAST_ONE),
-    ("verify G", "samples", *_AT_LEAST_ONE),
-    ("verify restricted-ratio", "h_samples", *_AT_LEAST_ONE),
-    ("verify truncated-moment", "h_samples", *_AT_LEAST_ONE),
+    ("verify F", "samples", *_within(1)),
+    ("verify G", "samples", *_within(1)),
     ("verify F", "lam", lambda lam: lam >= 2.95, "be at least 2.95"),
     ("verify G", "lam", lambda lam: 0.0 <= lam <= 0.4, "be in [0, 0.4]"),
     ("verify restricted-ratio", "lam", lambda lam: lam >= 3.0, "be at least 3"),
@@ -594,10 +590,10 @@ def _verify_reports(cfg: ExperimentConfig) -> list:
     if name == "covariance":
         return [check_covariance(cfg.n, cfg.m, cfg.delta, cfg.trials, stream)]
     if name == "restricted-ratio":
-        params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma, delta=cfg.delta)
+        params = LemmaParams(lam=cfg.lam, delta=cfg.delta)
         return [check_restricted_ratio(cfg.n, cfg.m, params, cfg.h_samples, stream)]
     if name == "truncated-moment":
-        params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma, delta=cfg.delta)
+        params = LemmaParams(lam=cfg.lam, delta=cfg.delta)
         return [check_truncated_moment(cfg.n, cfg.m, params, cfg.h_samples, stream)]
     raise ValueError(f"unknown lemma selector: {name!r}")
 
@@ -628,8 +624,6 @@ _COMMANDS = {
     "rsc-scan": (cmd_rsc_scan, "curvature margin scan in the trust ball"),
     "verify": (cmd_verify, "Monte Carlo bound reports"),
 }
-# positional on the command line, so never read from a config file
-_POSITIONAL_KEYS = ("command", "lemma")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -644,7 +638,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("lemma", choices=_LEMMAS)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         for opt in _OPTIONS:
-            if command not in opt.commands:
+            if command not in (run.split()[0] for run in opt.runs):  # verify: any lemma's
                 continue
             if opt.kind is bool:
                 p.add_argument(opt.flag, dest=opt.key, action="store_true", default=None)
@@ -655,6 +649,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(command: str, cli_values: dict, config_path: str | None) -> ExperimentConfig:
+    lemma = cli_values.get("lemma") or ""
+    run = f"{command} {lemma}".rstrip()
+    taken = {opt.key for opt in _OPTIONS if run in opt.runs}
     values = {opt.key: _for_command(opt.default, command) for opt in _OPTIONS}
     provided = set()
     if config_path:
@@ -662,19 +659,22 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
         if not isinstance(loaded, dict):
             raise ValueError("--config must hold a JSON object")
         for key, val in loaded.items():
-            if key in _POSITIONAL_KEYS:
+            if key in ("command", "lemma"):
                 raise ValueError(f"config key {key!r} is not allowed: it is a positional argument")
-            if key not in values:
-                raise ValueError(f"unknown config key: {key!r}")
+            if key not in taken:
+                raise ValueError(f"config key {key!r} is not an option of {run}" if key in values
+                                 else f"unknown config key: {key!r}")
             values[key] = _BY_KEY[key].coerce(val, f"config key {key!r}")
             provided.add(key)
     for opt in _OPTIONS:
         name = ENV_PREFIX + opt.key.upper()
-        if name in os.environ:
+        if opt.key in taken and name in os.environ:  # variables carry across runs
             values[opt.key] = opt.coerce(os.environ[name], name)
             provided.add(opt.key)
     for key, val in cli_values.items():
         if val is not None and key in values:
+            if key not in taken:
+                raise ValueError(f"{_FLAGS[key]} is not an option of {run}")
             values[key] = val
             provided.add(key)
 
@@ -687,7 +687,7 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
     if values["max_iters"] is None:
         values["max_iters"] = (50 if command == "baseline" else 40) * values["n"]
     given = {key: val for key, val in values.items() if val is not None}
-    return ExperimentConfig(command=command, lemma=cli_values.get("lemma") or "", **given)
+    return ExperimentConfig(command=command, lemma=lemma, **given)
 
 
 def main(argv=None) -> int:

@@ -201,9 +201,9 @@ def test_a10_linear_baseline():
 def test_a11_seeded_reruns_are_byte_identical(tmp_path, capsys):
     specs = [
         (["solve", "--n", "16", "--m", "128", "--trials", "3", "--max-iters", "60",
-          "--seed", "11"], "solve"),
+          "--seed", "11", "--serial"], "solve"),
         (["baseline", "--n", "16", "--m", "128", "--trials", "2", "--max-iters", "100",
-          "--seed", "12"], "baseline"),
+          "--seed", "12", "--serial"], "baseline"),
         (["rsc-scan", "--n", "16", "--m", "256", "--samples", "10", "--seed", "13"], "scan"),
         (["verify", "F", "--lambda", "3", "--sigma", "0.5", "--samples", "20000",
           "--seed", "14"], "verify"),
@@ -213,8 +213,8 @@ def test_a11_seeded_reruns_are_byte_identical(tmp_path, capsys):
     for args, label in specs:
         out_a = tmp_path / f"{label}_a"
         out_b = tmp_path / f"{label}_b"
-        rc_a = main(args + ["--out", str(out_a), "--serial"])
-        rc_b = main(args + ["--out", str(out_b), "--serial"])
+        rc_a = main(args + ["--out", str(out_a)])
+        rc_b = main(args + ["--out", str(out_b)])
         same = rc_a == rc_b
         for name in sorted(p.name for p in out_a.iterdir()):
             same = same and (out_a / name).read_bytes() == (out_b / name).read_bytes()

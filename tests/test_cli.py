@@ -588,8 +588,9 @@ def test_verify_g_runs_one_estimate_for_both_ceilings(monkeypatch, capsys):
     ("truncated-moment", "0.5", "0.1"),
 ])
 def test_out_of_range_lambda_names_the_flag(capsys, lemma, bad, good):
-    small = ["--samples", "100", "--h-samples", "3", "--n", "4", "--m", "16", "--seed", "1"]
-    assert run_cli(["verify", lemma, "--lambda", bad, *small]) == 2
+    small = ["--samples", "100"] if lemma in ("F", "G") else ["--h-samples", "3", "--n", "4",
+                                                              "--m", "16"]
+    assert run_cli(["verify", lemma, "--lambda", bad, *small, "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert "--lambda must be" in err and f"verify {lemma}" in err
     # the range check is the library's: a value inside it gets past validation
@@ -600,8 +601,9 @@ def test_out_of_range_lambda_names_the_flag(capsys, lemma, bad, good):
 @pytest.mark.parametrize("lemma", ["F", "restricted-ratio"])
 @pytest.mark.parametrize("lam", ["1e20", "1e300", "1.7976931348623157e308"])
 def test_huge_lambda_gives_reports(capsys, lemma, lam):
-    small = ["--samples", "2000", "--h-samples", "20", "--n", "4", "--m", "64", "--seed", "1"]
-    assert run_cli(["verify", lemma, "--lambda", lam, "--sigma", "0.5", *small]) == 0
+    small = (["--sigma", "0.5", "--samples", "2000"] if lemma == "F"
+             else ["--h-samples", "20", "--n", "4", "--m", "64"])
+    assert run_cli(["verify", lemma, "--lambda", lam, *small, "--seed", "1"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     docs = [json.loads(line) for line in captured.out.splitlines()]
@@ -638,33 +640,45 @@ def test_verify_f_near_unit_sigma_agrees_with_the_series(capsys):
     assert docs["F_vs_series"]["passed"]
 
 
-# every key a config file accepts, with one value that cannot be coerced
+# every key a config file accepts, with one value that cannot be coerced and a
+# run that takes the key
 _CONFIG_KEYS = {
-    "n": "x", "m": "x", "m_over_n": 2.5, "trials": [1], "max_iters": True, "seed": "x",
-    "threads": {}, "samples": "1e3", "h_samples": 1.5, "model": 5, "init": ["planted"],
-    "out_dir": 7, "planted_radius": "x", "delta": [0.5], "scale": True, "ball_radius": "big",
-    "lam": {}, "sigma": "x", "serial": "ture", "check": 2, "allow_radius_override": [True],
+    "n": ("x", "solve"), "m": ("x", "solve"), "m_over_n": (2.5, "solve"),
+    "trials": ([1], "solve"), "max_iters": (True, "solve"), "seed": ("x", "solve"),
+    "threads": ({}, "solve"), "samples": ("1e3", "rsc-scan"),
+    "h_samples": (1.5, "verify restricted-ratio"), "model": (5, "solve"),
+    "init": (["planted"], "solve"), "out_dir": (7, "solve"), "planted_radius": ("x", "solve"),
+    "delta": ([0.5], "solve"), "scale": (True, "solve"), "ball_radius": ("big", "solve"),
+    "lam": ({}, "verify F"), "sigma": ("x", "verify G"), "serial": ("ture", "solve"),
+    "check": (2, "solve"), "allow_radius_override": ([True], "solve"),
 }
+# small runs, so that a value wrongly let through costs little
+_SMALL_ARGS = {"solve": ["--n", "8", "--trials", "1", "--max-iters", "5"],
+               "baseline": ["--n", "8", "--trials", "1", "--max-iters", "5"],
+               "rsc-scan": ["--n", "8", "--samples", "2"],
+               "verify covariance": ["--n", "4", "--m", "16", "--trials", "1"],
+               "verify F": ["--samples", "100"], "verify G": ["--lambda", "0.4", "--samples", "100"],
+               "verify restricted-ratio": ["--n", "4", "--m", "16", "--h-samples", "1"]}
 
 
-def _run_with_config(tmp_path, doc, command="solve"):
+def _run_with_config(tmp_path, doc, run="solve"):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
-    args = [command, "G"] if command == "verify" else [command]
-    return run_cli([*args, "--n", "8", "--trials", "1", "--max-iters", "5",
+    return run_cli([*run.split(), *_SMALL_ARGS[run],
                     "--config", str(cfg_file), "--out", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
 def test_config_null_is_rejected_naming_the_key(tmp_path, capsys, key):
-    assert _run_with_config(tmp_path, {key: None}) == 2
+    assert _run_with_config(tmp_path, {key: None}, _CONFIG_KEYS[key][1]) == 2
     assert f"config key {key!r} is null" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", sorted(_CONFIG_KEYS))
 def test_config_value_that_fails_to_coerce_names_the_key(tmp_path, capsys, key):
-    assert _run_with_config(tmp_path, {key: _CONFIG_KEYS[key]}) == 2
+    value, run = _CONFIG_KEYS[key]
+    assert _run_with_config(tmp_path, {key: value}, run) == 2
     assert f"config key {key!r} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -672,7 +686,7 @@ def test_config_value_that_fails_to_coerce_names_the_key(tmp_path, capsys, key):
 @pytest.mark.parametrize("command", ["solve", "verify"])
 @pytest.mark.parametrize("doc", [{"command": "baseline"}, {"lemma": "F"}])
 def test_config_cannot_set_positional_arguments(tmp_path, capsys, command, doc):
-    assert _run_with_config(tmp_path, doc, command) == 2
+    assert _run_with_config(tmp_path, doc, "verify G" if command == "verify" else command) == 2
     assert f"config key {next(iter(doc))!r} is not allowed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
@@ -703,12 +717,13 @@ def test_boolean_spellings_from_config_and_environment(monkeypatch):
 # valid configs resolve to the hashes they had before key-by-key validation
 @pytest.mark.parametrize("command, cli, doc, digest", [
     ("solve", {}, {"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1}, "75d5100995158b2a"),
+    # every key solve takes; the digest is the one this config had before each
+    # run took only its own keys
     ("solve", {}, {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
                    "init": "spectral", "planted_radius": 0.001, "delta": 0.25, "seed": 5,
                    "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
-                   "ball_radius": 1.0, "samples": 10, "h_samples": 20, "lam": 0.3,
-                   "sigma": 0.2, "check": True, "allow_radius_override": False},
-     "f69b231dbfe798df"),
+                   "ball_radius": 1.0, "check": True, "allow_radius_override": False},
+     "2bb26e2cf8e0dcc6"),
     ("baseline", {}, {"n": "12", "m": 8.0, "serial": "yes", "scale": "2.5", "check": 1},
      "dd932da717fc83df"),
     ("rsc-scan", {}, {"samples": 10, "ball_radius": 0.02, "n": 16, "m_over_n": 4},
@@ -728,6 +743,110 @@ def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(doc))
     assert config_hash(resolve_config(command, cli, str(cfg_file))) == digest
+
+
+# the keys each run takes besides seed and out_dir, stated apart from the CLI's table
+_SOLVE_KEYS = {"threads", "serial", "n", "m", "m_over_n", "trials", "max_iters", "delta", "model",
+               "scale", "init", "planted_radius", "ball_radius", "check", "allow_radius_override"}
+_LEMMA_SCAN_KEYS = {"n", "m", "m_over_n", "lam", "delta", "h_samples"}
+_TAKES = {
+    "solve": _SOLVE_KEYS,
+    "baseline": _SOLVE_KEYS - {"delta", "ball_radius", "allow_radius_override"},
+    "rsc-scan": {"n", "m", "m_over_n", "model", "scale", "samples", "ball_radius"},
+    "verify F": {"lam", "sigma", "samples"},
+    "verify G": {"lam", "sigma", "samples"},
+    "verify covariance": {"n", "m", "m_over_n", "delta", "trials"},
+    "verify restricted-ratio": _LEMMA_SCAN_KEYS,
+    "verify truncated-moment": _LEMMA_SCAN_KEYS,
+}
+# a value of each key that every run taking it accepts along with its other
+# defaults, and the exceptions by run
+_TAKEN_VALUES = {
+    "seed": 5, "out_dir": "o", "threads": 2, "serial": True, "n": 4, "m": 16, "m_over_n": 2,
+    "trials": 2, "max_iters": 3, "delta": 0.75, "model": "gaussian", "scale": 2.5,
+    "init": "spectral", "planted_radius": 0.001, "lam": 3.5, "sigma": 0.25, "samples": 20,
+    "ball_radius": 0.5, "h_samples": 3, "check": True, "allow_radius_override": True,
+}
+_RUN_VALUES = {("baseline", "init"): "planted", ("verify G", "lam"): 0.2,
+               ("verify truncated-moment", "lam"): 0.2}
+# what makes a run's defaults valid: the shared default lambda of 3 does not suit every lemma
+_BASE = {"verify G": {"lam": 0.4}, "verify truncated-moment": {"lam": 0.4}}
+
+
+def test_each_run_takes_the_options_of_its_row():
+    from kaczpr.cli import _OPTIONS
+
+    assert {run: {opt.key for opt in _OPTIONS if run in opt.runs} for run in _TAKES} == {
+        run: keys | {"seed", "out_dir"} for run, keys in _TAKES.items()}
+    assert {run for opt in _OPTIONS for run in opt.runs} == set(_TAKES)
+    # settable (run, option) pairs, from a flag, a config file or a variable alike
+    assert sum(len(opt.runs) for opt in _OPTIONS) == 73
+
+
+def _flag_args(key, value):
+    from kaczpr.cli import _FLAGS
+
+    return [_FLAGS[key]] if value is True else [_FLAGS[key], _text(value)]
+
+
+@pytest.mark.parametrize("run", sorted(_TAKES))
+@pytest.mark.parametrize("key", sorted(_TAKEN_VALUES))
+def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, capsys, run, key):
+    from kaczpr.cli import _FLAGS, _build_parser
+
+    command, _, lemma = run.partition(" ")
+    base = {k: v for k, v in _BASE.get(run, {}).items() if k != key}
+    cli = dict(base, lemma=lemma) if lemma else dict(base)
+    base_args = [*run.split(), *(a for k, v in base.items() for a in _flag_args(k, v))]
+    value = _RUN_VALUES.get((run, key), _TAKEN_VALUES[key])
+    for name in [name for name in os.environ if name.startswith("KACZPR_")]:
+        monkeypatch.delenv(name)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({key: value}))
+    variable = "KACZPR_" + key.upper()
+    if key in _TAKES[run] | {"seed", "out_dir"}:
+        args = vars(_build_parser().parse_args([*base_args, *_flag_args(key, value)]))
+        from_flag = resolve_config(command, {k: v for k, v in args.items() if k != "config"},
+                                   None)
+        from_config = resolve_config(command, cli, str(cfg_file))
+        monkeypatch.setenv(variable, "true" if value is True else _text(value))
+        from_env = resolve_config(command, cli, None)
+        assert from_flag == from_config == from_env
+        if key == "m_over_n":
+            assert from_flag.m == value * from_flag.n
+        else:
+            assert getattr(from_flag, key) == value
+        return
+    out = tmp_path / "out"
+    assert _exit_code([*base_args, *_flag_args(key, value), "--out", str(out)]) == 2
+    assert re.search(rf"{re.escape(_FLAGS[key])}(?![\w-])", capsys.readouterr().err)
+    assert _exit_code([*base_args, "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert f"config key {key!r} is not an option of {run}" in capsys.readouterr().err
+    assert not out.exists()
+    # a variable is neither read nor checked: "x" parses as no number and no choice
+    default = config_hash(resolve_config(command, cli, None))
+    monkeypatch.setenv(variable, "x")
+    assert config_hash(resolve_config(command, cli, None)) == default
+
+
+# configs that were once valid, though their runs read none of the keys named
+@pytest.mark.parametrize("command, doc, message", [
+    # the zero start's distance can exceed a ball of relative radius 1 in the last bit
+    ("baseline", {"ball_radius": 1.0}, "config key 'ball_radius' is not an option of baseline"),
+    # its hash was pinned; solve reads none of samples, h_samples, lam and sigma
+    ("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
+               "init": "spectral", "planted_radius": 0.001, "delta": 0.25, "seed": 5,
+               "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
+               "ball_radius": 1.0, "samples": 10, "h_samples": 20, "lam": 0.3,
+               "sigma": 0.2, "check": True, "allow_radius_override": False},
+     "config key 'samples' is not an option of solve"),
+])
+def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc, message):
+    (tmp_path / "cfg.json").write_text(json.dumps(doc))
+    assert run_cli([command, "--config", str(tmp_path / "cfg.json"),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # Rejections that once came late (after --out was made), named an internal
@@ -857,9 +976,9 @@ def _floats_outside(lo, hi):
     return st.just(_NAN) | below | above
 
 
-# (field, flag, command, out-of-range values, in-range values), stated apart
-# from the CLI's own table; verify runs the covariance lemma, which reads no
-# --lambda, --sigma or --h-samples
+# (field, flag, run, out-of-range values, in-range values), stated apart from
+# the CLI's own table; each run takes the key, and its in-range values lie
+# inside that run's own rule
 _RANGES = [
     ("seed", "--seed", "solve", st.integers(max_value=-1) | st.integers(min_value=2**64),
      st.integers(0, 2**64 - 1)),
@@ -867,20 +986,22 @@ _RANGES = [
     ("n", "--n", "solve", st.integers(max_value=0), st.integers(1, 10**6)),
     ("m", "--m", "solve", st.integers(max_value=0), st.integers(1, 10**6)),
     ("m_over_n", "--m-over-n", "solve", st.integers(max_value=0), st.integers(1, 64)),
-    ("trials", "--trials", "rsc-scan", st.integers(max_value=-1), st.integers(0, 10**4)),
+    ("trials", "--trials", "baseline", st.integers(max_value=0), st.integers(1, 10**4)),
     ("max_iters", "--max-iters", "solve", st.integers(max_value=-1), st.integers(0, 10**6)),
     ("samples", "--samples", "rsc-scan", st.integers(max_value=-1), st.integers(0, 10**6)),
-    ("h_samples", "--h-samples", "verify", st.integers(max_value=-1), st.integers(0, 10**6)),
-    ("delta", "--delta", "baseline",
+    ("h_samples", "--h-samples", "verify restricted-ratio", st.integers(max_value=0),
+     st.integers(1, 10**6)),
+    ("delta", "--delta", "verify covariance",
      st.just(_NAN) | st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
      st.floats(_TINY, 1.0)),
     ("planted_radius", "--radius", "baseline", _floats_outside(0.0, _INF),
      st.floats(0.0, allow_infinity=False)),
     ("ball_radius", "--ball", "rsc-scan", _floats_outside(0.0, 1.0), st.floats(0.0, 1.0)),
     ("scale", "--scale", "solve", _floats_outside(1e-150, 1e150), st.floats(1e-150, 1e150)),
-    ("lam", "--lambda", "verify", st.sampled_from([_NAN, _INF, -_INF]),
-     st.floats(allow_nan=False, allow_infinity=False)),
-    ("sigma", "--sigma", "verify", _floats_outside(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    ("lam", "--lambda", "verify F", st.sampled_from([_NAN, _INF, -_INF]),
+     st.floats(2.95, allow_infinity=False)),
+    ("sigma", "--sigma", "verify F", _floats_outside(-1.0, 1.0),
+     st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True)),
     ("model", "--model", "solve", _WORDS.filter(lambda w: w not in ("sphere", "gaussian")),
      st.sampled_from(["sphere", "gaussian"])),
     ("init", "--init", "solve", _WORDS.filter(lambda w: w not in ("planted", "spectral")),
@@ -888,10 +1009,7 @@ _RANGES = [
     ("init", "--init", "baseline", _WORDS.filter(lambda w: w not in ("zero", "planted")),
      st.sampled_from(["zero", "planted"])),
 ]
-_RANGE_IDS = [f"{flag}-{command}" for _, flag, command, _, _ in _RANGES]
-# small runs, so that a value wrongly let through costs little
-_SMALL = {"solve": {"n": 8, "trials": 1, "max_iters": 5}, "baseline": {"n": 8, "trials": 1},
-          "rsc-scan": {"n": 8, "samples": 2}, "verify": {"n": 4, "m": 16, "trials": 1}}
+_RANGE_IDS = [f"{flag}-{run.split()[0]}" for _, flag, run, _, _ in _RANGES]
 
 
 def test_every_option_with_a_range_has_a_range_case():
@@ -899,10 +1017,6 @@ def test_every_option_with_a_range_has_a_range_case():
 
     ranged = {opt.key for opt in _OPTIONS if opt.valid or opt.choices}
     assert ranged == {key for key, *_ in _RANGES}
-
-
-def _positional(command):
-    return [command, "covariance"] if command == "verify" else [command]
 
 
 def _text(value):
@@ -917,13 +1031,15 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize("source", ["flag", "env", "config"])
-@pytest.mark.parametrize("key, flag, command, bad, good", _RANGES, ids=_RANGE_IDS)
+@pytest.mark.parametrize("key, flag, run, bad, good", _RANGES, ids=_RANGE_IDS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, command, bad, good, data):
+def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, run, bad, good, data):
     value = data.draw(bad)
-    small = [f"--{k.replace('_', '-')}={v}" for k, v in _SMALL[command].items() if k != key]
-    args, env = [*_positional(command), *small], {}
+    small = list(_SMALL_ARGS[run])
+    if flag in small:
+        del small[small.index(flag):small.index(flag) + 2]
+    args, env = [*run.split(), *small], {}
     with tempfile.TemporaryDirectory() as tmp:
         if source == "flag":
             args.append(f"{flag}={_text(value)}")
@@ -940,15 +1056,16 @@ def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, command, 
         assert not Path(tmp, "out").exists()
 
 
-@pytest.mark.parametrize("key, flag, command, bad, good", _RANGES, ids=_RANGE_IDS)
+@pytest.mark.parametrize("key, flag, run, bad, good", _RANGES, ids=_RANGE_IDS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
-def test_in_range_value_resolves_alike_from_every_source(key, flag, command, bad, good, data):
+def test_in_range_value_resolves_alike_from_every_source(key, flag, run, bad, good, data):
     from kaczpr.cli import _build_parser
 
     value = data.draw(good)
-    lemma = {"lemma": "covariance"} if command == "verify" else {}
-    args = vars(_build_parser().parse_args([*_positional(command), f"{flag}={_text(value)}"]))
+    command, _, lemma_name = run.partition(" ")
+    lemma = {"lemma": lemma_name} if lemma_name else {}
+    args = vars(_build_parser().parse_args([*run.split(), f"{flag}={_text(value)}"]))
     from_flag = resolve_config(command, {k: v for k, v in args.items() if k != "config"}, None)
     with mock.patch.dict(os.environ, {"KACZPR_" + key.upper(): _text(value)}):
         from_env = resolve_config(command, lemma, None)

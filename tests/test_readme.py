@@ -1,3 +1,4 @@
+import os
 import re
 from pathlib import Path
 
@@ -19,3 +20,37 @@ def test_options_table_lists_every_flag():
 
     rows = re.findall(r"^\| `(--[\w-]+)` \|", README.read_text(), re.M)
     assert sorted(rows) == sorted(opt.flag for opt in _OPTIONS)
+
+
+def _runs_cell(runs):
+    """The Commands cell for a row of runs: "all", or "solve, verify F, G" style."""
+    from kaczpr.cli import _LEMMAS
+
+    if set(runs) == {"solve", "baseline", "rsc-scan", *(f"verify {lemma}" for lemma in _LEMMAS)}:
+        return "all"
+    commands = [run for run in runs if " " not in run]
+    lemmas = [run.split()[1] for run in runs if " " in run]
+    return ", ".join(commands + (["verify " + ", ".join(lemmas)] if lemmas else []))
+
+
+def test_options_table_lists_the_runs_of_each_flag():
+    from kaczpr.cli import _OPTIONS
+
+    cells = dict(re.findall(r"^\| `(--[\w-]+)` \| ([^|]+?) \|", README.read_text(), re.M))
+    assert cells == {opt.flag: _runs_cell(opt.runs) for opt in _OPTIONS}
+
+
+def test_command_line_examples_resolve(monkeypatch):
+    import shlex
+
+    from kaczpr.cli import _build_parser, resolve_config
+
+    for name in [name for name in os.environ if name.startswith("KACZPR_")]:
+        monkeypatch.delenv(name)
+    block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("kaczpr ")]
+    assert len(lines) == 8
+    for line in lines:
+        args = vars(_build_parser().parse_args(shlex.split(line)[1:]))
+        command, config = args.pop("command"), args.pop("config")
+        resolve_config(command, args, config)  # raises on an option its run does not take

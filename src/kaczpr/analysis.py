@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _row_blocks, aligned_error, as_cvector, optimal_phase
+from .geometry import _row_blocks, _rows_per_block, aligned_error, as_cvector, optimal_phase
 from .kaczmarz import SolverTrace
 from .sampling import Ensemble, Measurements
 
@@ -240,7 +240,7 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
     if b.m != ensemble.m:
         raise ValueError("measurement count does not match ensemble")
     m, n = ensemble.m, ensemble.n
-    block = max(4, _STEP_BLOCK_BYTES // (16 * n) // 4 * 4)
+    block = _rows_per_block(n, _STEP_BLOCK_BYTES)
     stepped = np.empty((min(block + 1, m), n), dtype=np.complex128)
     diff = np.empty_like(stepped)
     x_conj = x.conj()

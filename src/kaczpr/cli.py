@@ -24,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -40,20 +39,9 @@ from .initializers import (
     real_overlap_direction,
     spectral_init,
 )
-from .kaczmarz import SolverConfig, SolverTrace, run_linear, run_pr
+from .kaczmarz import _CSV_ROWS, SolverConfig, SolverTrace, run_linear, run_pr
 from .rng import GENERATOR_ID, RngStream, complex_standard_normal
 from .sampling import Model, make_ensemble, measure
-from .verify import (
-    Direction,
-    LemmaParams,
-    _report,
-    check_covariance,
-    check_restricted_ratio,
-    check_truncated_moment,
-    mc_F,
-    mc_G_reports,
-    series_F,
-)
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "KACZPR_"
@@ -380,6 +368,24 @@ def _pin_blas():
     return lambda: set_threads(before)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool(workers: int):
+    """A process pool of `workers` workers.
+
+    Imported here, since the pool modules would cost every run about 1 MB
+    and 15 ms of start-up on a 2-core Linux host.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def _pool_entry(args) -> TrialResult:
     _pin_blas()  # a worker started by fork inherits the pin, one by forkserver does not
     cfg, trial, digest = args
@@ -398,14 +404,16 @@ def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Returns the trials x (max_iters + 1) distance matrix and each trial's
     stopping time, max_iters + 1 for a trial that never left the ball;
-    nothing else of a trial is kept.  Pool workers write their own traces
-    and return a TrialResult.  The serial path holds finished traces up to
-    _WRITE_BURST_BYTES and then writes them in one burst: on a 2-core Linux
-    host, creating a file right after a stretch of compute cost 2-3x more
-    than creating it in a burst, and writing each trace after its trial
-    made `baseline` about 9% slower.  A failing trial raises, possibly
-    after other trials' traces are on disk; aggregate.csv and summary.json
-    are written only after every trial has run.
+    nothing else of a trial is kept.  A run starts min(threads, trials,
+    usable cores) pool workers, or runs serially where that is 1.  Pool
+    workers write their own traces and return a TrialResult.  The serial
+    path holds finished traces up to _WRITE_BURST_BYTES and then writes
+    them in one burst: on a 2-core Linux host, creating a file right after
+    a stretch of compute cost 2-3x more than creating it in a burst, and
+    writing each trace after its trial made `baseline` about 9% slower.
+    A failing trial raises, possibly after other trials' traces are on
+    disk; aggregate.csv and summary.json are written only after every
+    trial has run.
     """
     digest = config_hash(cfg)
     k_len = cfg.max_iters + 1
@@ -417,7 +425,8 @@ def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         if result.stopping_time is not None:
             stops[t] = result.stopping_time
 
-    if cfg.serial or cfg.threads == 1 or cfg.trials <= 1:
+    workers = 1 if cfg.serial else min(cfg.threads, cfg.trials, _usable_cores())
+    if workers == 1:
         # rows (int64), abs_az and dist: 8 bytes per step each
         burst = max(1, _WRITE_BURST_BYTES // (8 * (3 * cfg.max_iters + 1)))
         held = {}
@@ -430,10 +439,25 @@ def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
                 held.clear()
         return dists, stops
     jobs = [(cfg, t, digest) for t in range(cfg.trials)]
-    with ProcessPoolExecutor(max_workers=min(cfg.threads, cfg.trials)) as pool:
+    with _pool(workers) as pool:
         for t, result in enumerate(pool.map(_pool_entry, jobs)):
             keep(t, result)
     return dists, stops
+
+
+def _column_medians(a: np.ndarray) -> np.ndarray:
+    """np.median(a, axis=0, overwrite_input=True), bit for bit.
+
+    np.median's NaN check imports numpy.ma, which costs a run about 1.2 MB
+    at its end; here a column's NaN, which the partition sorts last, is
+    copied over its median directly.
+    """
+    half = a.shape[0] // 2
+    middle = [half - 1, half] if a.shape[0] % 2 == 0 else [half]
+    a.partition([*middle, -1], axis=0)
+    median = np.mean(a[middle[0] : half + 1], axis=0)
+    np.copyto(median, a[-1], where=np.isnan(a[-1]))
+    return median
 
 
 def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out: Path) -> dict:
@@ -451,13 +475,17 @@ def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out:
         mean_d2, ratios = analysis._mean_dist_sq([dists[t] for t in surviving])
     else:
         mean_d2 = np.full(k_len, np.nan)
-    median_d = np.median(dists, axis=0, overwrite_input=True)
+    median_d = _column_medians(dists)
     # stops[t] <= k holds for a count of trials that grows with k
     frac_exited_by_k = np.cumsum(np.bincount(stops, minlength=k_len + 1)[:k_len]) / cfg.trials
 
-    columns = (map(repr, col.tolist()) for col in (mean_d2, median_d, frac_exited_by_k))
-    body = map("{},{},{},{}\n".format, range(k_len), *columns)
-    (out / "aggregate.csv").write_text("k,mean_dist2,median_dist,frac_exited\n" + "".join(body))
+    with open(out / "aggregate.csv", "w") as fh:  # in slices, as SolverTrace.to_csv
+        fh.write("k,mean_dist2,median_dist,frac_exited\n")
+        for lo in range(0, k_len, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, k_len)
+            columns = (map(repr, col[lo:hi].tolist())
+                       for col in (mean_d2, median_d, frac_exited_by_k))
+            fh.write("".join(map("{},{},{},{}\n".format, range(lo, hi), *columns)))
 
     summary = _sidecar_base(cfg)
     summary.update(
@@ -575,6 +603,19 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
 
 
 def _verify_reports(cfg: ExperimentConfig) -> list:
+    # imported here: only verify runs load the Monte Carlo checks
+    from .verify import (
+        Direction,
+        LemmaParams,
+        _report,
+        check_covariance,
+        check_restricted_ratio,
+        check_truncated_moment,
+        mc_F,
+        mc_G_reports,
+        series_F,
+    )
+
     stream = RngStream(cfg.seed, 0)
     name = cfg.lemma
     if name == "F":
@@ -626,25 +667,38 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which rejects an unknown flag under its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kaczpr",
         description="Phaseless row-action solver experiments and bound checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (_, text) in _COMMANDS.items():
         p = sub.add_parser(command, help=text)
         if command == "verify":
             p.add_argument("lemma", choices=_LEMMAS)
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         for opt in _OPTIONS:
-            if command not in (run.split()[0] for run in opt.runs):  # verify: any lemma's
-                continue
+            takes = command in (run.split()[0] for run in opt.runs)  # verify: any lemma's
             if opt.kind is bool:
-                p.add_argument(opt.flag, dest=opt.key, action="store_true", default=None)
-            else:
-                p.add_argument(opt.flag, dest=opt.key, type=opt.kind, default=None,
-                               choices=_for_command(opt.choices, command) or None)
+                kind = dict(action="store_true")
+            elif takes:
+                kind = dict(type=opt.kind, choices=_for_command(opt.choices, command) or None)
+            else:  # read as text: resolve_config rejects it, naming the run
+                kind = {}
+            if not takes:
+                kind["help"] = argparse.SUPPRESS
+            p.add_argument(opt.flag, dest=opt.key, default=None, **kind)
     return parser
 
 

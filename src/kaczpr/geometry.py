@@ -99,6 +99,12 @@ def _row_blocks(count: int, size: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
+def _rows_per_block(n: int, budget: int) -> int:
+    """Rows of n complex entries in `budget` bytes, as a multiple of 4 (and
+    at least 4) that _row_blocks keeps the whole-matrix bits with."""
+    return max(4, budget // (16 * n) // 4 * 4)
+
+
 def aligned_error(z, x) -> np.ndarray:
     """Residual after optimal phase alignment: e^{-i phase} z - x.
 

@@ -50,6 +50,10 @@ class SolverConfig:
             raise ValueError("ball_radius_rel must lie in [0, 1]")
 
 
+# Lines of a trace or aggregate CSV formatted per write.
+_CSV_ROWS = 1024
+
+
 @dataclass
 class SolverTrace:
     """Per-iteration record of one run.
@@ -75,16 +79,26 @@ class SolverTrace:
         return self.stopping_time is not None
 
     def to_csv(self, path) -> None:
-        """Write `k,i_k,dist,abs_az`, one row per iteration plus the final state."""
+        """Write `k,i_k,dist,abs_az`, one row per iteration plus the final state.
+
+        The text is built _CSV_ROWS lines at a time, so that no string
+        object per line of the whole trace is alive at once.
+        """
         k_max = self.iterations
-        if self.dist is None:
-            dist = [""] * (k_max + 1)
-        else:
-            dist = list(map(repr, self.dist.tolist()))
-        abs_az = map(repr, self.abs_az.tolist())
-        body = map("{},{},{},{}\n".format, range(k_max), self.rows.tolist(), dist, abs_az)
-        text = "k,i_k,dist,abs_az\n" + "".join(body) + f"{k_max},-1,{dist[k_max]},\n"
-        Path(path).write_text(text)
+        with open(path, "w") as fh:
+            fh.write("k,i_k,dist,abs_az\n")
+            for lo in range(0, k_max, _CSV_ROWS):
+                hi = min(lo + _CSV_ROWS, k_max)
+                if self.dist is None:
+                    dist = [""] * (hi - lo)
+                else:
+                    dist = map(repr, self.dist[lo:hi].tolist())
+                abs_az = map(repr, self.abs_az[lo:hi].tolist())
+                body = map("{},{},{},{}\n".format, range(lo, hi), self.rows[lo:hi].tolist(),
+                           dist, abs_az)
+                fh.write("".join(body))
+            last = "" if self.dist is None else repr(self.dist[k_max].item())
+            fh.write(f"{k_max},-1,{last},\n")
 
     def sidecar(self) -> dict:
         doc = {

@@ -71,20 +71,31 @@ class RngStream:
         return RngStream(mixed, self.stream_id)
 
 
+# Uniforms u2 drawn per slice of complex_standard_normal's output, so that
+# they stay in cache instead of forming a second whole-length array.
+_PHASE_SLICE = 1 << 12
+
+
 def complex_standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
     """n i.i.d. complex normals with E|xi_i|^2 = 1 (re, im ~ N(0, 1/2)).
 
     Uses the documented amplitude/phase Box-Muller transform so the output
-    depends only on the uniform stream, not on numpy's normal sampler.
+    depends only on the uniform stream, not on numpy's normal sampler.  The
+    n values u1 come first in the stream, then the n values u2, which are
+    drawn slice by slice in stream order straight into the output.
     """
-    u = gen.random((2, n))
     # the formula's ufuncs in its order, computed in place
-    radius = u[0]
+    radius = gen.random(n)
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     np.negative(radius, out=radius)
     np.sqrt(radius, out=radius)
     out = np.zeros(n, dtype=np.complex128)
-    np.multiply(2.0 * np.pi, u[1], out=out.imag)
-    np.exp(out, out=out)
-    return np.multiply(radius, out, out=out)
+    u2 = np.empty(min(n, _PHASE_SLICE))
+    for lo in range(0, n, _PHASE_SLICE):
+        block, phase = out[lo : lo + _PHASE_SLICE], u2[: min(_PHASE_SLICE, n - lo)]
+        gen.random(out=phase)
+        np.multiply(2.0 * np.pi, phase, out=block.imag)
+        np.exp(block, out=block)
+        np.multiply(radius[lo : lo + _PHASE_SLICE], block, out=block)
+    return out

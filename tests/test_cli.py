@@ -334,15 +334,21 @@ def test_out_of_range_execution_options_are_rejected(tmp_path, capsys, args, fla
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("threads, trials, workers", [(8, 3, 3), (2, 4, 2)])
+# the usable cores that test_pool_is_sized_by_threads_and_trials reports
+_CORES = 4
+
+
+@pytest.mark.parametrize("threads, trials, workers", [
+    (8, 3, 3), (2, 4, 2), (8, 8, _CORES), (100000, 6, _CORES), (1, 4, None), (4, 1, None),
+])
 def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, trials, workers):
     import kaczpr.cli as cli
 
     sizes = []
 
     class SerialPool:  # records the requested size and runs in this process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, workers):
+            sizes.append(workers)
 
         def __enter__(self):
             return self
@@ -353,35 +359,56 @@ def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, tri
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli, "_pool", SerialPool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: _CORES)
     args = ["solve", "--n", "8", "--m", "64", "--trials", str(trials), "--max-iters", "20",
             "--seed", "3"]
     assert run_cli([*args, "--threads", str(threads), "--out", str(tmp_path / "pool")]) == 0
-    assert sizes == [workers]
+    assert sizes == ([] if workers is None else [workers])  # one worker runs serially
 
 
 def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
     from kaczpr.cli import _aggregate, _fmt, _trial
+    from kaczpr.kaczmarz import _CSV_ROWS
 
-    cfg = resolve_config("solve", {"n": 8, "m": 64, "trials": 3, "max_iters": 40, "seed": 5,
-                                   "out_dir": str(tmp_path)}, None)
-    traces = [_trial(cfg, t) for t in range(3)]
-    dists = np.stack([t.dist for t in traces])
-    k_axis = np.arange(41)
-    for stops, surviving in (((None, 7, None), [0, 2]), ((3, 7, 0), [])):
-        for trace, stop in zip(traces, stops):
-            trace.stopping_time = stop
-        _aggregate(cfg, np.stack([t.dist for t in traces]),
-                   np.array([41 if s is None else s for s in stops]), tmp_path)
-        # the per-line writer aggregate.csv was first written with
-        mean_d2 = (dists[surviving] ** 2).mean(axis=0) if surviving else np.full(41, np.nan)
-        median_d = np.median(dists, axis=0)
-        stop_k = np.array([41 if s is None else s for s in stops])
-        frac = (stop_k[None, :] <= k_axis[:, None]).mean(axis=1)
-        lines = ["k,mean_dist2,median_dist,frac_exited"]
-        for k in range(41):
-            lines.append(f"{k},{_fmt(mean_d2[k])},{_fmt(median_d[k])},{_fmt(frac[k])}")
-        assert (tmp_path / "aggregate.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    # 41 rows, and row counts at the edges of the slices the file is written in
+    for k_len in (41, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3):
+        cfg = resolve_config("solve", {"n": 8, "m": 64, "trials": 3, "max_iters": k_len - 1,
+                                       "seed": 5, "out_dir": str(tmp_path)}, None)
+        traces = [_trial(cfg, t) for t in range(3)]
+        dists = np.stack([t.dist for t in traces])
+        k_axis = np.arange(k_len)
+        for stops, surviving in (((None, 7, None), [0, 2]), ((3, 7, 0), [])):
+            for trace, stop in zip(traces, stops):
+                trace.stopping_time = stop
+            stop_k = np.array([k_len if s is None else s for s in stops])
+            _aggregate(cfg, np.stack([t.dist for t in traces]), stop_k, tmp_path)
+            # the per-line writer aggregate.csv was first written with
+            mean_d2 = (dists[surviving] ** 2).mean(axis=0) if surviving else np.full(k_len, np.nan)
+            median_d = np.median(dists, axis=0)
+            frac = (stop_k[None, :] <= k_axis[:, None]).mean(axis=1)
+            lines = ["k,mean_dist2,median_dist,frac_exited"]
+            for k in range(k_len):
+                lines.append(f"{k},{_fmt(mean_d2[k])},{_fmt(median_d[k])},{_fmt(frac[k])}")
+            want = ("\n".join(lines) + "\n").encode()
+            assert (tmp_path / "aggregate.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3, 4, 31, 32])
+def test_column_medians_are_np_median_bit_for_bit(trials):
+    from kaczpr.cli import _column_medians
+
+    a = np.random.default_rng(trials).random((trials, 40)) * np.logspace(-3, 3, 40)
+    a[:, 5] = a[0, 5]  # ties
+    a[-1, 7] = a[0, 8] = np.nan
+    a[:, 9:11] = np.inf
+    a[0, 10] = -np.inf
+    b = a.copy()
+    with np.errstate(invalid="ignore"):  # the mean of -inf and inf in a 2-row column
+        want = np.median(a, axis=0, overwrite_input=True)
+        got = _column_medians(b)
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(b.view(np.uint64), a.view(np.uint64))  # the same partition
 
 
 @pytest.fixture
@@ -392,7 +419,7 @@ def in_process_pool(monkeypatch):
     returned = []
 
     class InProcessPool:
-        def __init__(self, max_workers):
+        def __init__(self, workers):
             pass
 
         def __enter__(self):
@@ -406,7 +433,8 @@ def in_process_pool(monkeypatch):
                 returned.append(fn(job))
                 yield returned[-1]
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(cli, "_pool", InProcessPool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # a pool run on any host
     return returned
 
 
@@ -448,6 +476,31 @@ def test_pool_workers_return_only_distances_and_stopping_times(tmp_path, in_proc
 
 def _artifact_bytes(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def test_forkserver_pool_gives_the_serial_bytes(tmp_path, monkeypatch):
+    # forkserver is the Linux default start method from Python 3.14; its
+    # workers start from a fresh interpreter, not from a copy of this one
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    import kaczpr.cli as cli
+
+    context = multiprocessing.get_context("forkserver")
+    sizes = []
+
+    def pool(workers):
+        sizes.append(workers)
+        return ProcessPoolExecutor(max_workers=workers, mp_context=context)
+
+    monkeypatch.setattr(cli, "_pool", pool)
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)
+    args = ["solve", "--n", "16", "--trials", "2", "--max-iters", "60", "--init", "spectral",
+            "--ball", "1", "--seed", "4"]
+    assert run_cli([*args, "--serial", "--out", str(tmp_path / "serial")]) == 0
+    assert run_cli([*args, "--threads", "2", "--out", str(tmp_path / "pool")]) == 0
+    assert sizes == [2]
+    assert _artifact_bytes(tmp_path / "pool") == _artifact_bytes(tmp_path / "serial")
 
 
 def test_serial_bursts_keep_artifacts_byte_identical(tmp_path, monkeypatch):
@@ -819,7 +872,7 @@ def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, caps
         return
     out = tmp_path / "out"
     assert _exit_code([*base_args, *_flag_args(key, value), "--out", str(out)]) == 2
-    assert re.search(rf"{re.escape(_FLAGS[key])}(?![\w-])", capsys.readouterr().err)
+    assert f"kaczpr: {_FLAGS[key]} is not an option of {run}\n" in capsys.readouterr().err
     assert _exit_code([*base_args, "--config", str(cfg_file), "--out", str(out)]) == 2
     assert f"config key {key!r} is not an option of {run}" in capsys.readouterr().err
     assert not out.exists()
@@ -827,6 +880,22 @@ def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, caps
     default = config_hash(resolve_config(command, cli, None))
     monkeypatch.setenv(variable, "x")
     assert config_hash(resolve_config(command, cli, None)) == default
+
+
+def test_a_flag_no_run_takes_is_rejected_under_the_commands_usage(capsys):
+    assert _exit_code(["rsc-scan", "--no-such-flag", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: kaczpr rsc-scan ")
+    assert err.endswith("kaczpr rsc-scan: error: unrecognized arguments: --no-such-flag 5\n")
+
+
+def test_a_commands_help_lists_only_the_flags_it_takes(capsys):
+    from kaczpr.cli import _OPTIONS
+
+    assert _exit_code(["rsc-scan", "--help"]) == 0
+    listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config"} | {
+        opt.flag for opt in _OPTIONS if "rsc-scan" in opt.runs}
 
 
 # configs that were once valid, though their runs read none of the keys named

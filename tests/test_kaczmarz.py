@@ -599,7 +599,9 @@ def _reference_csv(trace):
 def test_trace_csv_bytes_match_per_line_writer(tmp_path):
     e, x, z0 = _planted_problem(16, 128, 94)
     b = measure(e, x)
-    for k_max in (0, 300):
+    # and step counts at the edges of the slices the file is written in
+    rows = kaczmarz._CSV_ROWS
+    for k_max in (0, 300, rows - 1, rows, rows + 1, 2 * rows):
         for track in (True, False):
             cfg = SolverConfig(max_iters=k_max, track_distance=track)
             trace = run_pr(e, b, z0, cfg, RngStream(95, 0), truth=x)

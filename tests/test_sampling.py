@@ -10,7 +10,9 @@ from kaczpr import (
     sample_complex_gaussian,
     sample_unit_sphere,
 )
-from kaczpr.rng import complex_standard_normal
+from kaczpr.geometry import _rows_per_block
+from kaczpr.rng import _PHASE_SLICE, complex_standard_normal
+from kaczpr.sampling import _BLOCK_BYTES
 
 # frozen outputs of the documented generator; a change here is a breaking
 # change to every recorded experiment
@@ -31,7 +33,11 @@ def test_generator_regression_anchor():
     np.testing.assert_array_equal(sample_unit_sphere(3, RngStream(2, 5)), GOLDEN_SPHERE_2_5)
 
 
-@pytest.mark.parametrize("n", [1, 2, 127, 131072])
+# the sizes at the edges of the slices that u2 is drawn in
+_EDGES = [_PHASE_SLICE - 1, _PHASE_SLICE, _PHASE_SLICE + 1, 2 * _PHASE_SLICE + 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 127, 131072, *_EDGES])
 def test_complex_standard_normal_is_the_documented_formula_bit_for_bit(n):
     out = complex_standard_normal(n, RngStream(80, n).generator())
     u = RngStream(80, n).generator().random((2, n))
@@ -123,6 +129,22 @@ def test_measure_conjugation_consistency(small_ensemble):
     b = measure(small_ensemble, x).values
     conj_rows = small_ensemble.rows.conj()
     np.testing.assert_allclose(np.abs(conj_rows.conj() @ x.conj()), b, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 7, 128])
+@pytest.mark.parametrize("extra", [0, 1, 2, 3, 5])
+def test_row_blocks_give_the_whole_matrix_bits(n, extra):
+    # m = 0, 1, 2, 3 and 5 modulo the row block, with one block or several
+    block = _rows_per_block(n, _BLOCK_BYTES)
+    for m in filter(None, (extra, 2 * block + extra)):
+        stream = RngStream(81, m)
+        e = make_ensemble(m, n, Model.UNIT_SPHERE, stream)
+        rows = complex_standard_normal(m * n, stream.generator()).reshape(m, n)
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        np.testing.assert_array_equal(e.rows.view(np.uint64), rows.view(np.uint64))
+        x = sample_complex_gaussian(n, RngStream(82, n))
+        want = np.abs(rows.conj() @ x)
+        np.testing.assert_array_equal(measure(e, x).values.view(np.uint64), want.view(np.uint64))
 
 
 def test_invalid_sizes_rejected():

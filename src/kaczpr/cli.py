@@ -32,6 +32,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import analysis
+from .geometry import _usable_cores
 from .initializers import (
     InitConfig,
     default_norm_model,
@@ -102,6 +103,10 @@ class ExperimentConfig:
         for rule_run, key, test, text in _RUN_RULES:
             if rule_run == run and not test(getattr(self, key)):
                 raise ValueError(f"{_FLAGS[key]} must {text} for {run}")
+        if run == "verify covariance" and self.m < self.n:
+            m_flag, n_flag = _FLAGS["m"], _FLAGS["n"]
+            raise ValueError(f"{m_flag} must be at least {n_flag} for {run}, "
+                             f"got {m_flag} {self.m} and {n_flag} {self.n}")
         # the exit-probability bound holds only for starts within 0.01 * delta
         if run == "solve" and self.init == "planted" and not self.allow_radius_override:
             if self.planted_radius > 0.01 * self.delta + 1e-15:
@@ -366,13 +371,6 @@ def _pin_blas():
     before = get_threads()
     set_threads(1)
     return lambda: set_threads(before)
-
-
-def _usable_cores() -> int:
-    """The cores this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _pool(workers: int):

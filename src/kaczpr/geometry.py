@@ -7,6 +7,8 @@ here minimize over that circle.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -103,6 +105,13 @@ def _rows_per_block(n: int, budget: int) -> int:
     """Rows of n complex entries in `budget` bytes, as a multiple of 4 (and
     at least 4) that _row_blocks keeps the whole-matrix bits with."""
     return max(4, budget // (16 * n) // 4 * 4)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def aligned_error(z, x) -> np.ndarray:

@@ -23,6 +23,13 @@ Distinct stream_ids key statistically independent Philox streams; parallel
 trials use stream_id = trial index under a shared root seed.  Purpose-level
 substreams inside one trial are derived by remixing the seed word with
 splitmix64, keeping the stream_id word reserved for the trial index.
+
+Philox is counter-based, so a slice of any draw can be read at its own
+stream position without drawing what comes before it (``_positioned``),
+and gives the bits that drawing the whole stream in order gives.  The
+contract above does not change: code that reads slices this way, such as
+the Monte Carlo checks spreading a batch over threads, reproduces the
+serial stream word for word.
 """
 
 from __future__ import annotations
@@ -74,6 +81,44 @@ class RngStream:
 # Uniforms u2 drawn per slice of complex_standard_normal's output, so that
 # they stay in cache instead of forming a second whole-length array.
 _PHASE_SLICE = 1 << 12
+# 64-bit words in one Philox block: the output of one counter value
+_BLOCK_WORDS = 4
+
+
+def _positioned(state: dict, words: int) -> np.random.Generator:
+    """A new Generator `words` uniform draws past the Philox `state`.
+
+    The state is a ``bit_generator.state`` dict and stays untouched.  The
+    words left in its buffer come first; past them, ``advance`` moves in
+    whole blocks and discards the buffer, so the words short of a block
+    are drawn and dropped.
+    """
+    bitgen = np.random.Philox(key=state["state"]["key"])
+    left = _BLOCK_WORDS - state["buffer_pos"]
+    if words < left:
+        bitgen.state = {**state, "buffer_pos": state["buffer_pos"] + words}
+    else:
+        bitgen.state = state
+        blocks, skip = divmod(words - left, _BLOCK_WORDS)
+        bitgen.advance(blocks)
+        bitgen.random_raw(skip)
+    return np.random.Generator(bitgen)
+
+
+def _box_muller(radius: np.ndarray, phase: np.ndarray, out: np.ndarray) -> None:
+    """Complex normals into `out` from the uniforms u1 in `radius` and u2 in `phase`.
+
+    The formula's ufuncs in its order, computed in place on arrays of one
+    length; `radius` is overwritten.
+    """
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    out.real = 0.0
+    np.multiply(2.0 * np.pi, phase, out=out.imag)
+    np.exp(out, out=out)
+    np.multiply(radius, out, out=out)
 
 
 def complex_standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
@@ -84,18 +129,12 @@ def complex_standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
     n values u1 come first in the stream, then the n values u2, which are
     drawn slice by slice in stream order straight into the output.
     """
-    # the formula's ufuncs in its order, computed in place
     radius = gen.random(n)
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    out = np.zeros(n, dtype=np.complex128)
+    out = np.empty(n, dtype=np.complex128)
     u2 = np.empty(min(n, _PHASE_SLICE))
     for lo in range(0, n, _PHASE_SLICE):
-        block, phase = out[lo : lo + _PHASE_SLICE], u2[: min(_PHASE_SLICE, n - lo)]
+        hi = min(lo + _PHASE_SLICE, n)
+        phase = u2[: hi - lo]
         gen.random(out=phase)
-        np.multiply(2.0 * np.pi, phase, out=block.imag)
-        np.exp(block, out=block)
-        np.multiply(radius[lo : lo + _PHASE_SLICE], block, out=block)
+        _box_muller(radius[lo:hi], phase, out[lo:hi])
     return out

@@ -30,20 +30,22 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .geometry import _row_blocks
+from .geometry import _row_blocks, _usable_cores
 from .initializers import real_overlap_direction
-from .rng import RngStream, complex_standard_normal
+from .rng import RngStream, _box_muller, _positioned, complex_standard_normal
 from .sampling import Model, make_ensemble
 
 _BATCH = 1 << 17
-# Samples per slice of a batch's arithmetic, so that the temporaries after
-# the draws stay in cache.  A multiple of 4, so that full mode's products
-# keep the whole-batch bits (see geometry._row_blocks).
+# Samples per slice of a batch, drawn and evaluated in one pass, so that
+# the draws and the temporaries after them stay in cache.  A multiple of 4,
+# so that full mode's products keep the whole-batch bits (see
+# geometry._row_blocks).
 _SLICE = 1 << 12
 
 
@@ -133,8 +135,44 @@ def loose_bound_g(lam: float) -> float:
     return 2.0 * l2 / (l2 + 1.0)
 
 
+def _in_threads(work, jobs: list) -> None:
+    """work(*job) for every job: the first in the calling thread, each other in a thread.
+
+    Returns after every thread has ended, raising again the first exception
+    a thread raised.
+    """
+    errors = []
+
+    def guarded(*job):
+        try:
+            work(*job)
+        except BaseException as exc:  # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=job) for job in jobs[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(*jobs[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+
+
 def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mode: str, dim: int):
-    """Streaming mean/variance of the F or G integrand."""
+    """Streaming mean/variance of the F or G integrand.
+
+    Each batch of up to _BATCH samples is cut into _SLICE-sample slices,
+    and its contiguous runs of slices go to min(usable cores, slices)
+    workers.  A worker draws each slice at its own Philox position into
+    its own slice buffers, so no whole-batch draw exists, and the batch's
+    values and their in-order sums keep the bits of drawing the batch
+    serially.  A batch's stream holds, chunk words each, xi1's u1 and u2,
+    xi2's u1 and u2 and the phase uniforms in reduced mode, and u1 and u2
+    of the chunk x dim entries in full mode.
+    """
     if samples < 1:
         raise ValueError("samples must be positive")
     if mode not in ("reduced", "full"):
@@ -154,28 +192,33 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
         if pnorm == 0.0:
             raise ValueError("degenerate direction draw; try another stream")
         h = sigma * x + tau * perp / pnorm
+    # words per sample in each of a batch's consecutive draws, and their count
+    per, draws = (1, 5) if mode == "reduced" else (dim, 2)
 
-    def batch(chunk: int) -> np.ndarray:
-        # one function call per batch, so a batch's draws are freed before
-        # the next batch draws; the draws stay whole, in stream order, and
-        # the arithmetic on them runs in _SLICE-sample slices into vals
-        if mode == "reduced":
-            xi1 = complex_standard_normal(chunk, gen)
-            xi2 = complex_standard_normal(chunk, gen)
-            uniforms = gen.random(chunk)
-        else:
-            xi = complex_standard_normal(chunk * dim, gen).reshape(chunk, dim)
-        vals = np.empty(chunk)
-        for lo, hi in _row_blocks(chunk, _SLICE):
+    def run_slices(state: dict, chunk: int, vals: np.ndarray, blocks: list) -> None:
+        gens = [_positioned(state, (k * chunk + blocks[0][0]) * per) for k in range(draws)]
+        size = max(hi - lo for lo, hi in blocks) * per
+        radius, phase = np.empty(size), np.empty(size)
+        xi1 = np.empty(size, dtype=np.complex128)
+        xi2 = np.empty(size, dtype=np.complex128) if mode == "reduced" else None
+
+        def normals(u1, u2, out, width):
+            u1.random(out=radius[:width])
+            u2.random(out=phase[:width])
+            _box_muller(radius[:width], phase[:width], out[:width])
+            return out[:width]
+
+        for lo, hi in blocks:
             if mode == "reduced":
-                phi = 2.0 * np.pi * uniforms[lo:hi]
-                xs_x = (  # xi^* x
-                    sigma * xi1[lo:hi].conj() + tau * np.exp(1j * phi) * xi2[lo:hi].conj()
-                )
-                hs_xi = xi1[lo:hi]   # h^* xi
+                a = normals(gens[0], gens[1], xi1, hi - lo)
+                b = normals(gens[2], gens[3], xi2, hi - lo)
+                phi = 2.0 * np.pi * gens[4].random(out=phase[: hi - lo])
+                xs_x = sigma * a.conj() + tau * np.exp(1j * phi) * b.conj()  # xi^* x
+                hs_xi = a            # h^* xi
                 xs_h = hs_xi.conj()  # xi^* h
             else:
-                rows = xi[lo:hi].conj()
+                xi = normals(gens[0], gens[1], xi1, (hi - lo) * dim).reshape(hi - lo, dim)
+                rows = xi.conj()
                 xs_x = rows @ x
                 xs_h = rows @ h
                 hs_xi = xs_h.conj()
@@ -189,16 +232,25 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
                 )
             else:
                 vals[lo:hi] = np.abs(xs_h) ** 2 * (np.abs(xs_x) <= lam * np.abs(xs_h))
-        return vals
 
+    cores = _usable_cores()
+    state = gen.bit_generator.state
+    buffer = np.empty(min(samples, _BATCH))
     total = 0.0
     total_sq = 0.0
     left = samples
     while left > 0:
         chunk = min(left, _BATCH)
-        vals = batch(chunk)
+        vals = buffer[:chunk]
+        blocks = _row_blocks(chunk, _SLICE)
+        workers = min(cores, len(blocks))
+        runs = [blocks[len(blocks) * i // workers : len(blocks) * (i + 1) // workers]
+                for i in range(workers)]
+        _in_threads(run_slices, [(state, chunk, vals, run) for run in runs])
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
+        np.multiply(vals, vals, out=vals)
+        total_sq += float(vals.sum())
+        state = _positioned(state, draws * per * chunk).bit_generator.state
         left -= chunk
     mean = total / samples
     var = max(0.0, total_sq / samples - mean**2)

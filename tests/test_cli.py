@@ -685,6 +685,17 @@ def test_out_of_range_sigma_names_the_flag(capsys, monkeypatch):
         assert message in captured.err and captured.out == ""
 
 
+def test_verify_covariance_with_m_below_n_names_both_flags(capsys, monkeypatch):
+    import kaczpr.cli as cli
+
+    monkeypatch.setattr(cli, "_verify_reports", lambda cfg: pytest.fail("sampled"))
+    assert run_cli(["verify", "covariance", "--n", "16", "--m", "8", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "--m must be at least --n for verify covariance, got --m 8 and --n 16" in captured.err
+    assert captured.out == ""
+    resolve_config("verify", {"lemma": "covariance", "n": 16, "m": 16}, None)
+
+
 def test_verify_f_near_unit_sigma_agrees_with_the_series(capsys):
     # a series cut off at 250 terms read 0.9508 here, against 0.98996
     args = ["verify", "F", "--lambda", "3", "--sigma", "0.99", "--samples", "100000", "--seed", "7"]

@@ -11,7 +11,7 @@ from kaczpr import (
     sample_unit_sphere,
 )
 from kaczpr.geometry import _rows_per_block
-from kaczpr.rng import _PHASE_SLICE, complex_standard_normal
+from kaczpr.rng import _PHASE_SLICE, _positioned, complex_standard_normal
 from kaczpr.sampling import _BLOCK_BYTES
 
 # frozen outputs of the documented generator; a change here is a breaking
@@ -43,6 +43,22 @@ def test_complex_standard_normal_is_the_documented_formula_bit_for_bit(n):
     u = RngStream(80, n).generator().random((2, n))
     ref = np.sqrt(-np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
     np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("buffer_pos", range(5))
+def test_positioned_generator_continues_the_serial_stream(buffer_pos):
+    gen = RngStream(81, 3).generator()
+    gen.bit_generator.random_raw(6)  # a filled buffer, its first two words read
+    state = {**gen.bit_generator.state, "buffer_pos": buffer_pos}
+    before = repr(state)
+    far = (1 << 20) + 7
+    serial = np.random.Philox(key=state["state"]["key"])
+    serial.state = state
+    words = serial.random_raw(far + 8)
+    for offset in [*range(10), far]:
+        got = _positioned(state, offset).bit_generator.random_raw(8)
+        np.testing.assert_array_equal(got, words[offset : offset + 8])
+    assert repr(state) == before  # the source state is untouched
 
 
 def test_repeated_calls_are_identical():

@@ -1,5 +1,8 @@
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from kaczpr import (
     mc_G,
     series_F,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def exact_f_sigma0(lam):
@@ -355,10 +360,14 @@ def test_mc_scalar_matches_reference_loop_bit_for_bit(monkeypatch, kind, lam, mo
         assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
-def test_mc_scalar_batch_peaks_below_8_mib():
+def test_mc_scalar_batch_peaks_below_3_mib(monkeypatch):
     import tracemalloc
 
+    import kaczpr.verify as verify
     from kaczpr.verify import mc_G_reports
+
+    # each worker holds its own slice buffers
+    monkeypatch.setattr(verify, "_usable_cores", lambda: 2)
 
     calls = [
         lambda: mc_F(LemmaParams(lam=3.0, sigma=0.6), 1 << 17, RngStream(208, 0)),
@@ -372,4 +381,58 @@ def test_mc_scalar_batch_peaks_below_8_mib():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 << 20
+        assert peak <= 3 << 20
+
+
+@pytest.mark.parametrize("kind, lam", [("F", 3.0), ("G", 0.4)])
+@pytest.mark.parametrize("mode", ["reduced", "full"])
+def test_mc_scalar_bits_do_not_depend_on_the_core_count(monkeypatch, kind, lam, mode):
+    import kaczpr.verify as verify
+
+    monkeypatch.setattr(verify, "_BATCH", 1000)
+    monkeypatch.setattr(verify, "_SLICE", 64)  # 16 slices a batch, the last with 40 samples
+    params = LemmaParams(lam=lam, sigma=0.6)
+    want = [_ref_mc_scalar(params, samples, RngStream(209, 0), kind, mode, 5)
+            for samples in (3500, 1065, 70)]
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(verify, "_usable_cores", lambda: cores)
+        got = [verify._mc_scalar(params, samples, RngStream(209, 0), kind, mode, 5)
+               for samples in (3500, 1065, 70)]
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
+
+def _run_verify(args, preexec_fn=None) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("KACZPR_")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "kaczpr.cli", "verify", *args], env=env,
+                          capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a host with two usable cores")
+@pytest.mark.parametrize("args", [
+    ["F", "--lambda", "3", "--sigma", "0.5", "--samples", "140001"],
+    ["G", "--lambda", "0.4", "--sigma", "0.5", "--samples", "140001"],
+])
+def test_verify_reports_do_not_depend_on_the_cores_it_may_use(args):
+    one_core = _run_verify([*args, "--seed", "5"], lambda: os.sched_setaffinity(0, {0}))
+    assert one_core and one_core == _run_verify([*args, "--seed", "5"])
+
+
+def test_a_worker_thread_exception_is_raised_in_the_caller():
+    import threading
+
+    from kaczpr.verify import _in_threads
+
+    ran = []
+
+    def work(job):
+        if job == 2:
+            raise ArithmeticError("job 2")
+        ran.append((job, threading.current_thread() is threading.main_thread()))
+
+    with pytest.raises(ArithmeticError, match="job 2"):
+        _in_threads(work, [(0,), (1,), (2,)])
+    assert sorted(ran) == [(0, True), (1, False)]  # the first job runs in the caller

@@ -40,7 +40,7 @@ from .initializers import (
     real_overlap_direction,
     spectral_init,
 )
-from .kaczmarz import _CSV_ROWS, SolverConfig, SolverTrace, run_linear, run_pr
+from .kaczmarz import SolverConfig, SolverTrace, _write_csv, run_linear, run_pr
 from .rng import GENERATOR_ID, RngStream, complex_standard_normal
 from .sampling import Model, make_ensemble, measure
 
@@ -263,10 +263,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def _finite_or_none(value: float) -> float | None:
     value = float(value)
     return value if np.isfinite(value) else None
@@ -318,7 +314,7 @@ def _trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
 
 
 class TrialResult(NamedTuple):
-    """What _run_trials keeps of one trial; all a pool worker sends back."""
+    """What a trial's job returns, and all _run_trials keeps of the trial."""
 
     dist: np.ndarray
     stopping_time: int | None
@@ -384,62 +380,46 @@ def _pool(workers: int):
     return ProcessPoolExecutor(max_workers=workers)
 
 
-def _pool_entry(args) -> TrialResult:
-    _pin_blas()  # a worker started by fork inherits the pin, one by forkserver does not
+def _trial_job(args) -> TrialResult:
+    """One trial's job: run the trial, write its trace files, return its TrialResult."""
+    # a worker started by fork inherits main's pin, one by forkserver does not;
+    # in main's own process this pins the same count again
+    _pin_blas()
     cfg, trial, digest = args
     trace = _trial(cfg, trial)
     _write_trace(cfg, trial, trace, digest)
     return TrialResult(trace.dist, trace.stopping_time)
 
 
-# Budget of finished traces a serial run holds between write bursts: 8 traces
-# at n = 128 and 40n steps.
-_WRITE_BURST_BYTES = 1 << 20
-
-
 def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run every trial and write its trace files.
+    """Run every trial's job, which writes its trace files.
 
     Returns the trials x (max_iters + 1) distance matrix and each trial's
     stopping time, max_iters + 1 for a trial that never left the ball;
-    nothing else of a trial is kept.  A run starts min(threads, trials,
-    usable cores) pool workers, or runs serially where that is 1.  Pool
-    workers write their own traces and return a TrialResult.  The serial
-    path holds finished traces up to _WRITE_BURST_BYTES and then writes
-    them in one burst: on a 2-core Linux host, creating a file right after
-    a stretch of compute cost 2-3x more than creating it in a burst, and
-    writing each trace after its trial made `baseline` about 9% slower.
-    A failing trial raises, possibly after other trials' traces are on
-    disk; aggregate.csv and summary.json are written only after every
-    trial has run.
+    nothing else of a trial is kept.  The jobs run in this process where
+    min(threads, trials, usable cores) is 1, and in a pool of that many
+    workers otherwise.  A failing trial raises, possibly after other
+    trials' traces are on disk; aggregate.csv and summary.json are written
+    only after every trial has run.
     """
     digest = config_hash(cfg)
     k_len = cfg.max_iters + 1
     dists = np.empty((cfg.trials, k_len))
     stops = np.full(cfg.trials, k_len)
 
-    def keep(t: int, result) -> None:
-        dists[t] = result.dist
-        if result.stopping_time is not None:
-            stops[t] = result.stopping_time
+    def keep(results) -> None:
+        for t, result in enumerate(results):
+            dists[t] = result.dist
+            if result.stopping_time is not None:
+                stops[t] = result.stopping_time
 
+    jobs = [(cfg, t, digest) for t in range(cfg.trials)]
     workers = 1 if cfg.serial else min(cfg.threads, cfg.trials, _usable_cores())
     if workers == 1:
-        # rows (int64), abs_az and dist: 8 bytes per step each
-        burst = max(1, _WRITE_BURST_BYTES // (8 * (3 * cfg.max_iters + 1)))
-        held = {}
-        for t in range(cfg.trials):
-            held[t] = trace = _trial(cfg, t)
-            keep(t, trace)
-            if len(held) == burst or t == cfg.trials - 1:
-                for s, done in held.items():
-                    _write_trace(cfg, s, done, digest)
-                held.clear()
-        return dists, stops
-    jobs = [(cfg, t, digest) for t in range(cfg.trials)]
-    with _pool(workers) as pool:
-        for t, result in enumerate(pool.map(_pool_entry, jobs)):
-            keep(t, result)
+        keep(map(_trial_job, jobs))
+    else:
+        with _pool(workers) as pool:
+            keep(pool.map(_trial_job, jobs))
     return dists, stops
 
 
@@ -477,13 +457,8 @@ def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out:
     # stops[t] <= k holds for a count of trials that grows with k
     frac_exited_by_k = np.cumsum(np.bincount(stops, minlength=k_len + 1)[:k_len]) / cfg.trials
 
-    with open(out / "aggregate.csv", "w") as fh:  # in slices, as SolverTrace.to_csv
-        fh.write("k,mean_dist2,median_dist,frac_exited\n")
-        for lo in range(0, k_len, _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, k_len)
-            columns = (map(repr, col[lo:hi].tolist())
-                       for col in (mean_d2, median_d, frac_exited_by_k))
-            fh.write("".join(map("{},{},{},{}\n".format, range(lo, hi), *columns)))
+    _write_csv(out / "aggregate.csv", "k,mean_dist2,median_dist,frac_exited",
+               (mean_d2, median_d, frac_exited_by_k))
 
     summary = _sidecar_base(cfg)
     summary.update(
@@ -548,7 +523,7 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
     xnorm = float(np.linalg.norm(x))
     xhat = x / xnorm
 
-    lines = ["sample_id,h_norm,f,D,gamma_hat"]
+    values = np.empty((4, cfg.samples))  # the columns h_norm, f, D and gamma_hat
     min_gamma = None
     for s in range(cfg.samples):
         if s == 0:
@@ -570,11 +545,8 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
         sample = analysis.rsc_margin(ensemble, x, z)
         gamma = sample.margin_gamma
         min_gamma = gamma if min_gamma is None else min(min_gamma, gamma)
-        lines.append(
-            f"{s},{_fmt(sample.h_norm)},{_fmt(sample.f_value)},"
-            f"{_fmt(sample.directional)},{_fmt(gamma)}"
-        )
-    (out / "rsc_scan.csv").write_text("\n".join(lines) + "\n")
+        values[:, s] = sample.h_norm, sample.f_value, sample.directional, gamma
+    _write_csv(out / "rsc_scan.csv", "sample_id,h_norm,f,D,gamma_hat", values)
 
     threshold = RATE_MARGIN / cfg.n
     asserted = abs(cfg.ball_radius - 0.01) < 1e-12 and cfg.samples > 0

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -50,8 +51,28 @@ class SolverConfig:
             raise ValueError("ball_radius_rel must lie in [0, 1]")
 
 
-# Lines of a trace or aggregate CSV formatted per write.
+# Lines of a CSV formatted per write.
 _CSV_ROWS = 1024
+
+
+def _write_csv(path, header: str, columns, tail: str = "") -> None:
+    """Write `header`, one line `i,c[i],...` per row i, then `tail`.
+
+    The first column sets the row count; a longer column is cut.  An array
+    column is written as the repr of its values (str.format of a Python
+    float or int with no spec is its repr) and a None column as empty
+    fields.  The text is built _CSV_ROWS lines at a time, so that no string
+    object per line of the whole table is alive at once.
+    """
+    rows = len(columns[0])
+    line = ",".join(["{}"] * (len(columns) + 1)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, rows, _CSV_ROWS):
+            hi = min(lo + _CSV_ROWS, rows)
+            fields = (repeat("", hi - lo) if c is None else c[lo:hi].tolist() for c in columns)
+            fh.write("".join(map(line.format, range(lo, hi), *fields)))
+        fh.write(tail)
 
 
 @dataclass
@@ -79,26 +100,11 @@ class SolverTrace:
         return self.stopping_time is not None
 
     def to_csv(self, path) -> None:
-        """Write `k,i_k,dist,abs_az`, one row per iteration plus the final state.
-
-        The text is built _CSV_ROWS lines at a time, so that no string
-        object per line of the whole trace is alive at once.
-        """
+        """Write `k,i_k,dist,abs_az`, one row per iteration plus the final state."""
         k_max = self.iterations
-        with open(path, "w") as fh:
-            fh.write("k,i_k,dist,abs_az\n")
-            for lo in range(0, k_max, _CSV_ROWS):
-                hi = min(lo + _CSV_ROWS, k_max)
-                if self.dist is None:
-                    dist = [""] * (hi - lo)
-                else:
-                    dist = map(repr, self.dist[lo:hi].tolist())
-                abs_az = map(repr, self.abs_az[lo:hi].tolist())
-                body = map("{},{},{},{}\n".format, range(lo, hi), self.rows[lo:hi].tolist(),
-                           dist, abs_az)
-                fh.write("".join(body))
-            last = "" if self.dist is None else repr(self.dist[k_max].item())
-            fh.write(f"{k_max},-1,{last},\n")
+        last = "" if self.dist is None else repr(self.dist[k_max].item())
+        _write_csv(path, "k,i_k,dist,abs_az", (self.rows, self.dist, self.abs_az),
+                   f"{k_max},-1,{last},\n")
 
     def sidecar(self) -> dict:
         doc = {

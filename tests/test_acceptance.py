@@ -15,7 +15,6 @@ from kaczpr import (
     RngStream,
     check_covariance,
     closed_form_g,
-    contraction_stats,
     directional_derivative,
     dist,
     expected_step,
@@ -43,31 +42,30 @@ def report(criterion: str, ok: bool, detail: str):
 
 
 @pytest.fixture(scope="module")
-def solve_run():
-    cfg = resolve_config(
-        "solve",
-        dict(n=128, m_over_n=8, trials=200, max_iters=40 * 128, seed=A1_SEED,
-             planted_radius=0.005, delta=0.5),
-        None,
-    )
-    traces = [_trial(cfg, t) for t in range(cfg.trials)]
-    return cfg, traces
+def solve_run(tmp_path_factory):
+    """The shipped `kaczpr solve` at its defaults, in the pool where cores allow."""
+    out = tmp_path_factory.mktemp("a1") / "solve"
+    assert main(["solve", "--n", "128", "--m-over-n", "8", "--trials", "200",
+                 "--max-iters", str(40 * 128), "--seed", str(A1_SEED), "--radius", "0.005",
+                 "--delta", "0.5", "--threads", "2", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    mean_d2 = np.loadtxt(out / "aggregate.csv", delimiter=",", skiprows=1, usecols=1)
+    return summary, mean_d2
 
 
 def test_a1_linear_rate(solve_run):
-    cfg, traces = solve_run
-    stats = contraction_stats(traces)
-    bound = 1.0 - 0.03 / cfg.n
-    mask = stats.mean_dist_sq[:-1] > 1e-24
-    worst = float(stats.ratios[mask].max())
+    summary, mean_d2 = solve_run
+    worst = summary["max_contraction_ratio"]
+    bound = 1.0 - 0.03 / summary["config"]["n"]
+    steps = int((mean_d2[:-1] > 1e-24).sum())
     report("A1 per-step contraction of mean squared error", worst <= bound,
-           f"max ratio {worst:.9f} <= {bound:.9f} over {int(mask.sum())} steps")
+           f"max ratio {worst:.9f} <= {bound:.9f} over {steps} steps")
 
 
 def test_a2_exit_probability(solve_run):
-    cfg, traces = solve_run
-    frac = float(np.mean([t.exited() for t in traces]))
-    bound = cfg.delta**2
+    summary, _ = solve_run
+    frac = summary["frac_exited"]
+    bound = summary["config"]["delta"] ** 2
     report("A2 trust-ball exit fraction", frac <= bound, f"{frac:.4f} <= {bound}")
 
 

@@ -367,8 +367,34 @@ def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, tri
     assert sizes == ([] if workers is None else [workers])  # one worker runs serially
 
 
+@pytest.mark.parametrize("samples", [0, 1, 3])
+def test_rsc_scan_csv_bytes_match_per_line_writer(tmp_path, monkeypatch, samples):
+    import kaczpr.analysis as analysis
+    import kaczpr.kaczmarz as kaczmarz
+
+    real_margin, margins = analysis.rsc_margin, []
+
+    def rsc_margin(*args):
+        margins.append(real_margin(*args))
+        return margins[-1]
+
+    monkeypatch.setattr(analysis, "rsc_margin", rsc_margin)
+    monkeypatch.setattr(kaczmarz, "_CSV_ROWS", 2)  # 3 samples cross a slice edge
+    out = tmp_path / "scan"
+    assert run_cli(["rsc-scan", "--n", "16", "--m", "256", "--samples", str(samples),
+                    "--seed", "4", "--out", str(out)]) == 0
+    assert len(margins) == samples
+    lines = ["sample_id,h_norm,f,D,gamma_hat"]
+    for s, sample in enumerate(margins):
+        lines.append(f"{s},{float(sample.h_norm)!r},{float(sample.f_value)!r},"
+                     f"{float(sample.directional)!r},{float(sample.margin_gamma)!r}")
+    assert (out / "rsc_scan.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+    gammas = [sample.margin_gamma for sample in margins]
+    assert read_json(out / "rsc_scan.json")["min_gamma"] == (min(gammas) if gammas else None)
+
+
 def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
-    from kaczpr.cli import _aggregate, _fmt, _trial
+    from kaczpr.cli import _aggregate, _trial
     from kaczpr.kaczmarz import _CSV_ROWS
 
     # 41 rows, and row counts at the edges of the slices the file is written in
@@ -389,7 +415,8 @@ def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
             frac = (stop_k[None, :] <= k_axis[:, None]).mean(axis=1)
             lines = ["k,mean_dist2,median_dist,frac_exited"]
             for k in range(k_len):
-                lines.append(f"{k},{_fmt(mean_d2[k])},{_fmt(median_d[k])},{_fmt(frac[k])}")
+                lines.append(f"{k},{float(mean_d2[k])!r},{float(median_d[k])!r},"
+                             f"{float(frac[k])!r}")
             want = ("\n".join(lines) + "\n").encode()
             assert (tmp_path / "aggregate.csv").read_bytes() == want
 
@@ -503,12 +530,9 @@ def test_forkserver_pool_gives_the_serial_bytes(tmp_path, monkeypatch):
     assert _artifact_bytes(tmp_path / "pool") == _artifact_bytes(tmp_path / "serial")
 
 
-def test_serial_bursts_keep_artifacts_byte_identical(tmp_path, monkeypatch):
+def test_serial_run_writes_each_trace_after_its_trial(tmp_path, monkeypatch):
     import kaczpr.cli as cli
 
-    # a trace of 20000 steps holds 480 KB, so the default budget writes bursts of two
-    args = ["solve", "--n", "4", "--m", "32", "--trials", "3", "--max-iters", "20000",
-            "--seed", "3", "--serial"]
     events = []
     real_runner, real_write = cli._trial, cli._write_trace
 
@@ -522,25 +546,15 @@ def test_serial_bursts_keep_artifacts_byte_identical(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "_trial", runner)
     monkeypatch.setattr(cli, "_write_trace", write)
-    outputs = []
-    orders = {
-        1: "run 0,write 0,run 1,write 1,run 2,write 2",
-        cli._WRITE_BURST_BYTES: "run 0,run 1,write 0,write 1,run 2,write 2",
-        1 << 40: "run 0,run 1,run 2,write 0,write 1,write 2",
-    }
-    for budget, order in orders.items():  # one trace, the default, all trials
-        monkeypatch.setattr(cli, "_WRITE_BURST_BYTES", budget)
-        events.clear()
-        out = tmp_path / str(budget)
-        assert run_cli([*args, "--out", str(out)]) == 0
-        assert ",".join(events) == order
-        outputs.append(_artifact_bytes(out))
-    assert len(outputs[0]) == 2 * 3 + 2
-    assert outputs[0] == outputs[1] == outputs[2]
+    out = tmp_path / "serial"
+    assert run_cli(["solve", "--n", "4", "--m", "32", "--trials", "3", "--max-iters", "200",
+                    "--seed", "3", "--serial", "--out", str(out)]) == 0
+    assert ",".join(events) == "run 0,write 0,run 1,write 1,run 2,write 2"
+    assert len(_artifact_bytes(out)) == 2 * 3 + 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_failing_serial_trial_keeps_earlier_bursts_and_no_summary(tmp_path, monkeypatch,
+def test_failing_serial_trial_keeps_earlier_traces_and_no_summary(tmp_path, monkeypatch,
                                                                   capsys):
     import kaczpr.cli as cli
     from kaczpr import Measurements
@@ -555,7 +569,6 @@ def test_failing_serial_trial_keeps_earlier_bursts_and_no_summary(tmp_path, monk
         return real_measure(e, x)
 
     monkeypatch.setattr(cli, "measure", measure)
-    monkeypatch.setattr(cli, "_WRITE_BURST_BYTES", 2 * 8 * (3 * 100 + 1))  # two traces
     out = tmp_path / "serial"
     rc = run_cli(["solve", "--n", "8", "--m", "64", "--trials", "5", "--max-iters", "100",
                   "--serial", "--out", str(out)])
@@ -563,19 +576,16 @@ def test_failing_serial_trial_keeps_earlier_bursts_and_no_summary(tmp_path, monk
     assert re.search(r"kaczpr: non-finite iterate at step \d+, produced by row \d+",
                      capsys.readouterr().err)
     assert ran == [0, 1, 2, 3]
-    # trials 0 and 1 were the first burst; trial 2 was held when trial 3 failed
+    # each trial before the failing one wrote its trace; no aggregate or summary
     assert sorted(path.name for path in out.iterdir()) == [
-        "trace_0000.csv", "trace_0000.json", "trace_0001.csv", "trace_0001.json"]
+        f"trace_{t:04d}.{ext}" for t in range(3) for ext in ("csv", "json")]
 
 
-def test_serial_peak_memory_grows_by_a_distance_row_per_trial(tmp_path, monkeypatch):
+def test_serial_peak_memory_grows_by_a_distance_row_per_trial(tmp_path):
     import tracemalloc
-
-    import kaczpr.cli as cli
 
     steps = 1000
     row = 8 * (steps + 1)  # one trial's dist; its whole trace is about 3 rows
-    monkeypatch.setattr(cli, "_WRITE_BURST_BYTES", 3 * 3 * row)  # three traces
     peaks = {}
     for trials in (1, 6, 18):  # the first run also makes one-time allocations
         args = ["solve", "--n", "4", "--m", "32", "--trials", str(trials), "--max-iters",

@@ -27,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _row_blocks, _rows_per_block, aligned_error, as_cvector, optimal_phase
+from .geometry import (
+    _adjoint_products,
+    _row_blocks,
+    _rows_per_block,
+    aligned_error,
+    as_cvector,
+    optimal_phase,
+)
 from .kaczmarz import SolverTrace
 from .sampling import Ensemble, Measurements
 
@@ -40,13 +47,12 @@ _STEP_BLOCK_BYTES = 1 << 18
 
 
 def _row_products(ensemble: Ensemble, *vectors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """a_j^* v for every row and each v, from one conjugate copy of the rows.
+    """a_j^* v for every row and each v, without a conjugate copy of the rows.
 
     Each product is its own matrix-vector product: stacking the vectors into
     one matrix product would round differently.
     """
-    conj = ensemble.rows.conj()
-    return tuple(conj @ v for v in vectors)
+    return tuple(_adjoint_products(ensemble.rows, v) for v in vectors)
 
 
 def _check_dims(ensemble: Ensemble, *vectors):

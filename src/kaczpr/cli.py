@@ -32,7 +32,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import analysis
-from .geometry import _usable_cores
+from .geometry import _adjoint_products, _usable_cores
 from .initializers import (
     InitConfig,
     default_norm_model,
@@ -301,7 +301,7 @@ def _trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
     if cfg.command == "solve":
         rhs, solver = measure(ensemble, x), run_pr
     else:
-        rhs, solver = ensemble.rows.conj() @ x, run_linear  # consistent by construction
+        rhs, solver = _adjoint_products(ensemble.rows, x), run_linear  # consistent by construction
     if cfg.init == "planted":
         z0 = planted_init(x, cfg.planted_radius, stream.substream(TAG_INIT))
     elif cfg.init == "spectral":

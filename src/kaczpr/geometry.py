@@ -107,6 +107,18 @@ def _rows_per_block(n: int, budget: int) -> int:
     return max(4, budget // (16 * n) // 4 * 4)
 
 
+def _adjoint_products(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """a_j^* v for every row a_j of a 2-d complex array, and v a vector or matrix.
+
+    Taken as the conjugate of rows @ conj(v), which conjugates v instead of
+    copying the rows.  The two products differ only in the signs of their
+    terms, and rounding to nearest is symmetric in sign, so this gives the
+    bits of rows.conj() @ v in every case tried, vectors and matrices.
+    """
+    out = rows @ v.conj()
+    return np.conjugate(out, out=out)
+
+
 def _usable_cores() -> int:
     """The cores this process may run on: its affinity set where the OS has one."""
     if hasattr(os, "sched_getaffinity"):

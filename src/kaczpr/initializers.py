@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import as_cvector
+from .geometry import _row_blocks, _rows_per_block, as_cvector
 from .rng import RngStream, complex_standard_normal
 from .sampling import Ensemble, Measurements, Model
 
@@ -35,11 +35,35 @@ class InitConfig:
     norm_estimate: NormModel = NormModel.SPHERE
 
 
+# Budget of each of the covariance's two operand tiles, m rows by one tile
+# width: 64 columns at m = 1024.
+_TILE_BYTES = 1 << 20
+
+
+def _weighted_covariance(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_j w_j a_j a_j^*, with the bits of (rows.T * weights) @ rows.conj().
+
+    Formed one output tile at a time from operands of _TILE_BYTES each, so
+    no copy of the whole ensemble exists.  Every entry still takes its whole
+    m-long inner product in one matrix product, which is what keeps the
+    bits; the tile edges come from _row_blocks, so no tile is one wide.
+    """
+    m, n = rows.shape
+    cov = np.empty((n, n), dtype=np.complex128)
+    tiles = _row_blocks(n, _rows_per_block(m, _TILE_BYTES))
+    for lo, hi in tiles:
+        left = rows[:, lo:hi].T * weights
+        for lo2, hi2 in tiles:
+            np.matmul(left, rows[:, lo2:hi2].conj(), out=cov[lo:hi, lo2:hi2])
+    return cov
+
+
 def spectral_init(ensemble: Ensemble, b: Measurements, config: InitConfig, rng: RngStream) -> np.ndarray:
     """Spectral estimate of the signal from magnitudes alone.
 
-    Y is formed as a dense n x n matrix and its top eigenvector comes from a
-    dense Hermitian eigensolver: no iteration, tolerance or convergence test.
+    Y is formed as a dense n x n matrix, tile by tile (_weighted_covariance),
+    and its top eigenvector comes from a dense Hermitian eigensolver: no
+    iteration, tolerance or convergence test.
     Nothing is drawn from rng, so the start point does not depend on the
     stream passed in.
     """
@@ -48,8 +72,8 @@ def spectral_init(ensemble: Ensemble, b: Measurements, config: InitConfig, rng: 
     weights = b.values**2
     if not np.any(weights > 0):
         raise ValueError("all measurements are zero; spectral direction is undefined")
-    rows = ensemble.rows
-    covariance = (rows.T * weights) @ rows.conj() / ensemble.m
+    covariance = _weighted_covariance(ensemble.rows, weights)
+    covariance /= ensemble.m
     direction = np.linalg.eigh(covariance)[1][:, -1]
     mean_b2 = float(np.mean(weights))
     if config.norm_estimate is NormModel.SPHERE:

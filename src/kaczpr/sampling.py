@@ -66,11 +66,10 @@ class Measurements:
         return self.values.shape[0]
 
 
-# Budget of a row block in make_ensemble's row norms and in measure's
-# conjugate rows: 32 rows at n = 128.  Under glibc's default mmap threshold
-# of 128 KiB, so that the block temporaries come from the heap instead of
-# fresh pages: at 256 KiB, `verify covariance` took 2820 minor page faults
-# against 439.
+# Budget of a row block in make_ensemble's row norms: 32 rows at n = 128.
+# Under glibc's default mmap threshold of 128 KiB, so that the block
+# temporaries come from the heap instead of fresh pages: at 256 KiB,
+# `verify covariance` took 2820 minor page faults against 439.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -127,16 +126,12 @@ def make_ensemble(m: int, n: int, model, rng: RngStream) -> Ensemble:
 def measure(ensemble: Ensemble, x) -> Measurements:
     """Phaseless forward map: values[j] = |a_j^* x|.
 
-    Taken in row blocks through one conjugate block buffer, with the bits
-    of np.abs(rows.conj() @ x) (see geometry._row_blocks).
+    Taken as |rows @ conj(x)|, the modulus of the conjugate product, with
+    the bits of np.abs(rows.conj() @ x) (see geometry._adjoint_products)
+    and no conjugate copy of the rows.
     """
     x = as_cvector(x, "x")
-    m, n = ensemble.m, ensemble.n
+    n = ensemble.n
     if x.shape[0] != n:
         raise ValueError(f"dimension mismatch: ensemble n={n}, x has {x.shape[0]}")
-    size = _rows_per_block(n, _BLOCK_BYTES)
-    conj = np.empty((min(size + 1, m), n), dtype=np.complex128)
-    values = np.empty(m)
-    for lo, hi in _row_blocks(m, size):
-        np.abs(np.conjugate(ensemble.rows[lo:hi], out=conj[: hi - lo]) @ x, out=values[lo:hi])
-    return Measurements(values=values)
+    return Measurements(values=np.abs(ensemble.rows @ x.conj()))

@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import _row_blocks, _usable_cores
+from .geometry import _adjoint_products, _row_blocks, _usable_cores
 from .initializers import real_overlap_direction
 from .rng import RngStream, _box_muller, _positioned, complex_standard_normal
 from .sampling import Model, make_ensemble
@@ -47,6 +47,10 @@ _BATCH = 1 << 17
 # so that full mode's products keep the whole-batch bits (see
 # geometry._row_blocks).
 _SLICE = 1 << 12
+# Most workers one batch runs on.  Each holds about 0.5 MiB of slice
+# buffers, so at 8 a 2^17-sample batch stays below the 6.48 MiB that the
+# whole-batch draws it replaced held, whatever the core count.
+_MAX_WORKERS = 8
 
 
 class Direction(Enum):
@@ -165,11 +169,11 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
     """Streaming mean/variance of the F or G integrand.
 
     Each batch of up to _BATCH samples is cut into _SLICE-sample slices,
-    and its contiguous runs of slices go to min(usable cores, slices)
-    workers.  A worker draws each slice at its own Philox position into
-    its own slice buffers, so no whole-batch draw exists, and the batch's
-    values and their in-order sums keep the bits of drawing the batch
-    serially.  A batch's stream holds, chunk words each, xi1's u1 and u2,
+    and its contiguous runs of slices go to min(usable cores, slices,
+    _MAX_WORKERS) workers.  A worker draws each slice at its own Philox
+    position into its own slice buffers, so no whole-batch draw exists, and
+    the batch's values and their in-order sums keep the bits of drawing the
+    batch serially.  A batch's stream holds, chunk words each, xi1's u1 and u2,
     xi2's u1 and u2 and the phase uniforms in reduced mode, and u1 and u2
     of the chunk x dim entries in full mode.
     """
@@ -233,7 +237,7 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
             else:
                 vals[lo:hi] = np.abs(xs_h) ** 2 * (np.abs(xs_x) <= lam * np.abs(xs_h))
 
-    cores = _usable_cores()
+    cores = min(_usable_cores(), _MAX_WORKERS)
     state = gen.bit_generator.state
     buffer = np.empty(min(samples, _BATCH))
     total = 0.0
@@ -441,8 +445,8 @@ def _scan_products(n: int, m: int, h_samples: int, rng: RngStream) -> tuple[np.n
     x = complex_standard_normal(n, gen)
     x /= np.linalg.norm(x)
     dirs = _direction_batch(x, h_samples, gen)
-    conj = ensemble.rows.conj()
-    return conj @ x, conj @ dirs.T  # m and m x h_samples
+    # m and m x h_samples
+    return _adjoint_products(ensemble.rows, x), _adjoint_products(ensemble.rows, dirs.T)
 
 
 def check_restricted_ratio(

@@ -141,3 +141,14 @@ def test_row_blocks_keep_the_whole_matrix_product_bits():
         for size in (4, 8):
             got = np.concatenate([rows[lo:hi] @ v for lo, hi in _row_blocks(m, size)])
             assert np.array_equal(got.view(np.uint64), whole)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 8), (9, 1), (30, 7), (1024, 64), (1025, 128)])
+def test_adjoint_products_keep_the_conjugate_copy_bits(m, n):
+    from kaczpr.geometry import _adjoint_products
+
+    rows = _vec(m * n, 37200 + m + n).reshape(m, n)
+    conj = rows.conj()
+    for v in (_vec(n, 37300 + n), _vec(5 * n, 37400 + n).reshape(5, n).T):  # a vector, dirs.T
+        want = (conj @ v).view(np.uint64)
+        assert np.array_equal(_adjoint_products(rows, v).view(np.uint64), want)

@@ -14,6 +14,7 @@ from kaczpr import (
     planted_init,
     spectral_init,
 )
+from kaczpr.initializers import default_norm_model
 from conftest import unit_signal
 
 
@@ -56,6 +57,48 @@ def test_spectral_init_norm_is_measurement_energy(model, norm_model):
     z0 = spectral_init(e, b, InitConfig(norm_estimate=norm_model), RngStream(56, 0))
     factor = n if norm_model is NormModel.SPHERE else 1
     assert np.linalg.norm(z0) == pytest.approx(np.sqrt(factor * np.mean(b.values**2)), rel=1e-12)
+
+
+def _whole_covariance(rows, weights):
+    return (rows.T * weights) @ rows.conj()
+
+
+@pytest.mark.parametrize("model", [Model.UNIT_SPHERE, Model.COMPLEX_GAUSSIAN])
+@pytest.mark.parametrize("m", [1, 3, 40])
+@pytest.mark.parametrize("n", [5, 8, 24, 9])  # below, at, a multiple of and one over a tile
+def test_covariance_tiles_give_the_whole_product_bits(monkeypatch, model, m, n):
+    import kaczpr.initializers as initializers
+
+    monkeypatch.setattr(initializers, "_TILE_BYTES", 16 * m * 8)  # 8-wide tiles
+    e, b = _spectral_problem(model, n, m, 60 + m + n)
+    weights = b.values**2
+    got = initializers._weighted_covariance(e.rows, weights)
+    assert np.array_equal(got.view(np.uint64), _whole_covariance(e.rows, weights).view(np.uint64))
+
+
+@pytest.mark.parametrize("model", [Model.UNIT_SPHERE, Model.COMPLEX_GAUSSIAN])
+@pytest.mark.parametrize("n", [32, 64, 65, 128])  # at the default budget, 64-wide tiles
+def test_spectral_init_keeps_the_whole_product_bits(model, n):
+    e, b = _spectral_problem(model, n, 1024, 61 + n)
+    weights = b.values**2
+    direction = np.linalg.eigh(_whole_covariance(e.rows, weights) / e.m)[1][:, -1]
+    scale = np.sqrt((n if model is Model.UNIT_SPHERE else 1) * float(np.mean(weights)))
+    z0 = spectral_init(e, b, InitConfig(norm_estimate=default_norm_model(model)), RngStream(62, 0))
+    assert np.array_equal(z0.view(np.uint64), (scale * direction).view(np.uint64))
+
+
+def test_spectral_init_peaks_below_3_mib():
+    import tracemalloc
+
+    e, b = _spectral_problem(Model.UNIT_SPHERE, 128, 1024, 63)
+    spectral_init(e, b, InitConfig(), RngStream(64, 0))  # one-time allocations stay out
+    tracemalloc.start()
+    try:
+        spectral_init(e, b, InitConfig(), RngStream(64, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 << 20  # 2.5 MiB measured; the whole-ensemble form took 4.3
 
 
 def test_spectral_init_ignores_rng_stream():

@@ -286,24 +286,30 @@ class ContractionStats:
     trials_included: int
 
 
-def _mean_dist_sq(rows: list) -> tuple[np.ndarray, np.ndarray]:
+def _mean_dist_sq(rows) -> tuple[np.ndarray, np.ndarray] | None:
     """Mean over trials of squared distances, and its step ratios
-    mean[k+1] / mean[k].
+    mean[k+1] / mean[k]; None when `rows` is empty.
 
-    `rows` holds one distance array per trial.  Their squares are summed in
-    trial order and divided by the count, which gives the bits of
-    ``(np.stack(rows) ** 2).mean(axis=0)`` without the stacked copies.  A
-    single column is the exception: numpy sums it pairwise, so that case
-    is computed as written.  A zero mean gives an inf or nan ratio, left
-    for the caller to mask.
+    `rows` yields one distance array per trial and is read once, so it may
+    be a generator.  Their squares are summed in trial order as they come
+    and divided by the count, which gives the bits of
+    ``(np.stack(rows) ** 2).mean(axis=0)`` without holding the rows.  A
+    single column is the exception: numpy sums it pairwise, so one-long
+    rows are kept and that case is computed as written.  A zero mean gives
+    an inf or nan ratio, left for the caller to mask.
     """
-    if rows[0].shape[0] == 1:
-        mean_d2 = (np.stack(rows) ** 2).mean(axis=0)
-    else:
-        mean_d2 = np.zeros(rows[0].shape[0])
-        for d in rows:
-            mean_d2 += d**2
-        mean_d2 /= len(rows)
+    total, column, count = None, [], 0
+    for d in rows:
+        count += 1
+        if d.shape[0] == 1:
+            column.append(d)
+        elif total is None:
+            total = d**2
+        else:
+            total += d**2
+    if count == 0:
+        return None
+    mean_d2 = (np.stack(column) ** 2).mean(axis=0) if column else total / count
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = mean_d2[1:] / mean_d2[:-1]
     return mean_d2, ratios

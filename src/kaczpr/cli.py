@@ -17,6 +17,7 @@ so any output can be regenerated from its sidecar alone.
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import functools
 import hashlib
@@ -24,6 +25,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -314,7 +316,7 @@ def _trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
 
 
 class TrialResult(NamedTuple):
-    """What a trial's job returns, and all _run_trials keeps of the trial."""
+    """What a trial's job returns: all that _run_trials reads of the trial."""
 
     dist: np.ndarray
     stopping_time: int | None
@@ -391,36 +393,62 @@ def _trial_job(args) -> TrialResult:
     return TrialResult(trace.dist, trace.stopping_time)
 
 
-def _run_trials(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Run every trial's job, which writes its trace files.
+def _run_trials(cfg: ExperimentConfig, spill) -> tuple:
+    """Run every trial's job, which writes its trace files, and fold in its result.
 
-    Returns the trials x (max_iters + 1) distance matrix and each trial's
-    stopping time, max_iters + 1 for a trial that never left the ball;
-    nothing else of a trial is kept.  The jobs run in this process where
-    min(threads, trials, usable cores) is 1, and in a pool of that many
-    workers otherwise.  A failing trial raises, possibly after other
-    trials' traces are on disk; aggregate.csv and summary.json are written
-    only after every trial has run.
+    Results are taken in trial order as they arrive.  Each distance row is
+    appended to the binary file `spill` as raw float64, for _aggregate's
+    medians, and the rows of the trials that never left the ball go through
+    analysis._mean_dist_sq's running sum; so no trials x (max_iters + 1)
+    matrix is held, in this process or in the pool parent.  (At max_iters
+    0, _mean_dist_sq keeps the one column, which numpy sums pairwise.)
+    Returns _mean_dist_sq's (mean_dist2, ratios), None where every trial
+    exited, and each trial's stopping time, max_iters + 1 for a trial that
+    never left the ball.  The jobs run in this process where min(threads,
+    trials, usable cores) is 1, and in a pool of that many workers
+    otherwise.  A failing trial raises, possibly after other trials' traces
+    are on disk; aggregate.csv and summary.json are written only after
+    every trial has run.
     """
     digest = config_hash(cfg)
-    k_len = cfg.max_iters + 1
-    dists = np.empty((cfg.trials, k_len))
-    stops = np.full(cfg.trials, k_len)
+    stops = np.full(cfg.trials, cfg.max_iters + 1)
 
-    def keep(results) -> None:
+    def surviving(results):
+        """Spill each row and keep each stopping time; yield the rows of trials that stayed."""
         for t, result in enumerate(results):
-            dists[t] = result.dist
-            if result.stopping_time is not None:
+            spill.write(result.dist)
+            if result.stopping_time is None:
+                yield result.dist
+            else:
                 stops[t] = result.stopping_time
 
-    jobs = [(cfg, t, digest) for t in range(cfg.trials)]
+    jobs = ((cfg, t, digest) for t in range(cfg.trials))
     workers = 1 if cfg.serial else min(cfg.threads, cfg.trials, _usable_cores())
     if workers == 1:
-        keep(map(_trial_job, jobs))
-    else:
-        with _pool(workers) as pool:
-            keep(pool.map(_trial_job, jobs))
-    return dists, stops
+        return analysis._mean_dist_sq(surviving(map(_trial_job, jobs))), stops
+    with _pool(workers) as pool:
+        return analysis._mean_dist_sq(surviving(_in_order(pool, jobs, 2 * workers))), stops
+
+
+def _in_order(pool, jobs, depth: int):
+    """_trial_job's results over `jobs`, run in `pool`, in job order.
+
+    Executor.map submits every job at once, and each pending future costs
+    the parent about 2 KB; here at most `depth` jobs are submitted and not
+    yet taken.  A job's exception is raised here, and the jobs that have
+    not started are cancelled.
+    """
+    pending = collections.deque()
+    try:
+        for job in jobs:
+            pending.append(pool.submit(_trial_job, job))
+            if len(pending) == depth:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def _column_medians(a: np.ndarray) -> np.ndarray:
@@ -438,22 +466,44 @@ def _column_medians(a: np.ndarray) -> np.ndarray:
     return median
 
 
-def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out: Path) -> dict:
+# The buffer that the spilled distance rows are read back into, one block of
+# columns at a time; its size does not depend on the trial count.
+_MEDIAN_BLOCK_BYTES = 1 << 17
+
+
+def _spilled_medians(spill, trials: int, k_len: int) -> np.ndarray:
+    """The column medians of the trials x k_len float64 rows in `spill`.
+
+    Each block of columns is read from every row into one reused buffer of
+    _MEDIAN_BLOCK_BYTES (one column at least) and goes through
+    _column_medians.  A column's median does not depend on its block, so
+    this gives np.median's bits over the whole matrix.
+    """
+    width = min(k_len, max(1, _MEDIAN_BLOCK_BYTES // (8 * trials)))
+    buf = np.empty(trials * width)
+    median = np.empty(k_len)
+    for lo in range(0, k_len, width):
+        hi = min(lo + width, k_len)
+        block = buf[: trials * (hi - lo)].reshape(trials, hi - lo)
+        for t, row in enumerate(block):
+            spill.seek(8 * (t * k_len + lo))
+            spill.readinto(row)
+        median[lo:hi] = _column_medians(block)
+    return median
+
+
+def _aggregate(cfg: ExperimentConfig, mean, stops: np.ndarray, spill, out: Path) -> dict:
     """Write aggregate.csv; return the summary document, unwritten.
 
-    `dists` and `stops` are what _run_trials returns; the median is taken
-    in place, so `dists` is overwritten.  mean_dist2 is restricted to
-    trials that never left the trust ball (the view the convergence
-    statement is about); median_dist and frac_exited cover all trials.
+    `mean` and `stops` are what _run_trials returns, and `spill` the file
+    it wrote the distance rows to.  mean_dist2 is restricted to trials
+    that never left the trust ball (the view the convergence statement is
+    about); median_dist and frac_exited cover all trials, median_dist read
+    back from `spill` and frac_exited from the stopping times alone.
     """
     k_len = cfg.max_iters + 1
-    exited = stops < k_len
-    surviving = np.flatnonzero(~exited)
-    if surviving.size:
-        mean_d2, ratios = analysis._mean_dist_sq([dists[t] for t in surviving])
-    else:
-        mean_d2 = np.full(k_len, np.nan)
-    median_d = _column_medians(dists)
+    mean_d2, ratios = (np.full(k_len, np.nan), None) if mean is None else mean
+    median_d = _spilled_medians(spill, cfg.trials, k_len)
     # stops[t] <= k holds for a count of trials that grows with k
     frac_exited_by_k = np.cumsum(np.bincount(stops, minlength=k_len + 1)[:k_len]) / cfg.trials
 
@@ -464,12 +514,12 @@ def _aggregate(cfg: ExperimentConfig, dists: np.ndarray, stops: np.ndarray, out:
     summary.update(
         {
             "trials": cfg.trials,
-            "frac_exited": float(exited.mean()),
+            "frac_exited": float((stops < k_len).mean()),
             "final_mean_dist2": _finite_or_none(mean_d2[-1]),
             "final_median_dist": _finite_or_none(median_d[-1]),
         }
     )
-    if surviving.size and cfg.max_iters > 0:
+    if mean is not None and cfg.max_iters > 0:
         # mean_dist2 is divided, since the floor scaled down would underflow
         mask = mean_d2[:-1] / cfg.scale**2 > FLOOR_DIST_SQ
         max_ratio = fitted = None
@@ -491,7 +541,8 @@ def cmd_trials(cfg: ExperimentConfig) -> int:
     """`solve` or `baseline`: run the trials, then write aggregate.csv and summary.json."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _aggregate(cfg, *_run_trials(cfg), out)
+    with tempfile.TemporaryFile() as spill:  # unnamed, under TMPDIR
+        summary = _aggregate(cfg, *_run_trials(cfg, spill), spill, out)
     failure = None
     if cfg.check and cfg.command == "solve":
         rate_bound, exit_bound = 1.0 - RATE_MARGIN / cfg.n, cfg.delta**2

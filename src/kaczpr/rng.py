@@ -126,15 +126,21 @@ def complex_standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
 
     Uses the documented amplitude/phase Box-Muller transform so the output
     depends only on the uniform stream, not on numpy's normal sampler.  The
-    n values u1 come first in the stream, then the n values u2, which are
-    drawn slice by slice in stream order straight into the output.
+    n values u1 come first in the stream, then the n values u2.  u1 is
+    drawn into the back half of the output's own memory, then u2 slice by
+    slice.  Each slice of u1 is copied out before its output slice is
+    written, and output slice [lo, hi) overwrites only u1 values below
+    2 hi - n <= hi, none of a later slice's; so no whole-length uniform
+    array is formed.
     """
-    radius = gen.random(n)
     out = np.empty(n, dtype=np.complex128)
-    u2 = np.empty(min(n, _PHASE_SLICE))
+    flat = out.view(np.float64)
+    gen.random(out=flat[n:])
+    u1, u2 = np.empty(min(n, _PHASE_SLICE)), np.empty(min(n, _PHASE_SLICE))
     for lo in range(0, n, _PHASE_SLICE):
         hi = min(lo + _PHASE_SLICE, n)
-        phase = u2[: hi - lo]
+        radius, phase = u1[: hi - lo], u2[: hi - lo]
+        np.copyto(radius, flat[n + lo : n + hi])
         gen.random(out=phase)
-        _box_muller(radius[lo:hi], phase, out[lo:hi])
+        _box_muller(radius, phase, out[lo:hi])
     return out

@@ -338,6 +338,15 @@ def test_out_of_range_execution_options_are_rejected(tmp_path, capsys, args, fla
 _CORES = 4
 
 
+def _done(result):
+    """A future that holds `result`, for pools that run each job as it is submitted."""
+    from concurrent.futures import Future
+
+    future = Future()
+    future.set_result(result)
+    return future
+
+
 @pytest.mark.parametrize("threads, trials, workers", [
     (8, 3, 3), (2, 4, 2), (8, 8, _CORES), (100000, 6, _CORES), (1, 4, None), (4, 1, None),
 ])
@@ -356,8 +365,8 @@ def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, tri
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
+        def submit(self, fn, job):
+            return _done(fn(job))
 
     monkeypatch.setattr(cli, "_pool", SerialPool)
     monkeypatch.setattr(cli, "_usable_cores", lambda: _CORES)
@@ -393,22 +402,28 @@ def test_rsc_scan_csv_bytes_match_per_line_writer(tmp_path, monkeypatch, samples
     assert read_json(out / "rsc_scan.json")["min_gamma"] == (min(gammas) if gammas else None)
 
 
-def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
-    from kaczpr.cli import _aggregate, _trial
+def _aggregate_rows(monkeypatch, cfg, dists, stops) -> int:
+    """cmd_trials over given distance rows and stopping times, which stand in for the trials."""
+    import kaczpr.cli as cli
+
+    results = [cli.TrialResult(d, s) for d, s in zip(dists, stops)]
+    monkeypatch.setattr(cli, "_trial_job", lambda job: results[job[1]])
+    return cli.cmd_trials(cfg)
+
+
+def test_aggregate_csv_bytes_match_per_line_writer(tmp_path, monkeypatch):
+    from kaczpr.cli import _trial
     from kaczpr.kaczmarz import _CSV_ROWS
 
     # 41 rows, and row counts at the edges of the slices the file is written in
     for k_len in (41, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3):
         cfg = resolve_config("solve", {"n": 8, "m": 64, "trials": 3, "max_iters": k_len - 1,
                                        "seed": 5, "out_dir": str(tmp_path)}, None)
-        traces = [_trial(cfg, t) for t in range(3)]
-        dists = np.stack([t.dist for t in traces])
+        dists = np.stack([_trial(cfg, t).dist for t in range(3)])
         k_axis = np.arange(k_len)
         for stops, surviving in (((None, 7, None), [0, 2]), ((3, 7, 0), [])):
-            for trace, stop in zip(traces, stops):
-                trace.stopping_time = stop
+            assert _aggregate_rows(monkeypatch, cfg, dists, stops) == 0
             stop_k = np.array([k_len if s is None else s for s in stops])
-            _aggregate(cfg, np.stack([t.dist for t in traces]), stop_k, tmp_path)
             # the per-line writer aggregate.csv was first written with
             mean_d2 = (dists[surviving] ** 2).mean(axis=0) if surviving else np.full(k_len, np.nan)
             median_d = np.median(dists, axis=0)
@@ -419,6 +434,66 @@ def test_aggregate_csv_bytes_match_per_line_writer(tmp_path):
                              f"{float(frac[k])!r}")
             want = ("\n".join(lines) + "\n").encode()
             assert (tmp_path / "aggregate.csv").read_bytes() == want
+
+
+def _matrix_aggregate(cfg, dists, stops) -> tuple[bytes, dict]:
+    """aggregate.csv's bytes and summary.json's document, from the whole distance matrix."""
+    from kaczpr.cli import FLOOR_DIST_SQ, _finite_or_none, _sidecar_base
+
+    k_len = dists.shape[1]
+    kept = [d for d, s in zip(dists, stops) if s is None]
+    mean_d2 = (np.stack(kept) ** 2).mean(axis=0) if kept else np.full(k_len, np.nan)
+    median_d = np.median(dists, axis=0)
+    stop_k = np.array([k_len if s is None else s for s in stops])
+    frac = (stop_k[None, :] <= np.arange(k_len)[:, None]).mean(axis=1)
+    lines = ["k,mean_dist2,median_dist,frac_exited"]
+    lines += [f"{k},{float(mean_d2[k])!r},{float(median_d[k])!r},{float(frac[k])!r}"
+              for k in range(k_len)]
+    summary = _sidecar_base(cfg)
+    summary.update({"trials": len(dists), "frac_exited": float(np.mean(stop_k < k_len)),
+                    "final_mean_dist2": _finite_or_none(mean_d2[-1]),
+                    "final_median_dist": _finite_or_none(median_d[-1])})
+    if kept and k_len > 1:
+        mask = mean_d2[:-1] / cfg.scale**2 > FLOOR_DIST_SQ
+        ratios = mean_d2[1:] / mean_d2[:-1]
+        k_eff = int(mask.sum())
+        summary.update({
+            "max_contraction_ratio": float(ratios[mask].max()) if k_eff else None,
+            "fitted_contraction": (float((mean_d2[k_eff] / mean_d2[0]) ** (1.0 / k_eff))
+                                   if k_eff else None),
+            "floor_dist2": FLOOR_DIST_SQ * cfg.scale**2,
+        })
+    return ("\n".join(lines) + "\n").encode(), summary
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 300])
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 33])
+def test_streamed_aggregate_equals_the_whole_matrix_reference(tmp_path, monkeypatch, trials,
+                                                              max_iters):
+    import kaczpr.cli as cli
+
+    k_len = max_iters + 1
+    cfg = resolve_config("solve", {"n": 8, "trials": trials, "max_iters": max_iters,
+                                   "seed": 5, "out_dir": str(tmp_path)}, None)
+    gen = np.random.default_rng([trials, max_iters])
+    # decaying rows, a tie across trials, and a column that reaches the floor
+    dists = 1e-3 * gen.random((trials, k_len)) * 0.99 ** np.arange(k_len)
+    if k_len > 1:
+        dists[:, k_len // 2] = 2e-4
+        dists[:, -1] *= 1e-12
+    exits = gen.integers(0, k_len, size=trials)
+    for stops in ([None] * trials,  # no trial exits
+                  [None if t % 3 else int(exits[t]) for t in range(trials)],  # some exit
+                  [int(e) for e in exits]):  # every trial exits
+        want_csv, want_summary = _matrix_aggregate(cfg, dists, stops)
+        # a median block of the whole row, one column short of it and one past it,
+        # and the default's
+        for width in (k_len, k_len - 1, k_len + 1, None):
+            block = cli._MEDIAN_BLOCK_BYTES if width is None else 8 * trials * width
+            monkeypatch.setattr(cli, "_MEDIAN_BLOCK_BYTES", block)
+            assert _aggregate_rows(monkeypatch, cfg, dists, stops) == 0
+            assert (tmp_path / "aggregate.csv").read_bytes() == want_csv
+            assert read_json(tmp_path / "summary.json") == want_summary
 
 
 @pytest.mark.parametrize("trials", [1, 2, 3, 4, 31, 32])
@@ -440,10 +515,12 @@ def test_column_medians_are_np_median_bit_for_bit(trials):
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Run pool jobs in this process, in order; returns what the jobs returned."""
+    """Run each pool job in this process as it is submitted, its result through
+    pickle as from a worker; returns the pickled size of each result, which
+    holds no result alive."""
     import kaczpr.cli as cli
 
-    returned = []
+    sent = []
 
     class InProcessPool:
         def __init__(self, workers):
@@ -455,14 +532,14 @@ def in_process_pool(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, jobs):
-            for job in jobs:
-                returned.append(fn(job))
-                yield returned[-1]
+        def submit(self, fn, job):
+            data = pickle.dumps(fn(job))
+            sent.append(len(data))
+            return _done(pickle.loads(data))
 
     monkeypatch.setattr(cli, "_pool", InProcessPool)
     monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # a pool run on any host
-    return returned
+    return sent
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -495,8 +572,8 @@ def test_pool_workers_return_only_distances_and_stopping_times(tmp_path, in_proc
             "--seed", "3", "--threads", "2", "--out", str(tmp_path / "pool")]
     assert run_cli(args) == 0
     assert len(in_process_pool) == 3
-    for result in in_process_pool:
-        assert len(pickle.dumps(result)) < result.dist.nbytes + 1024
+    for size in in_process_pool:
+        assert size < 8 * 301 + 1024  # the 301 distances and little else
     for t in range(3):
         assert (tmp_path / "pool" / f"trace_{t:04d}.json").exists()
 
@@ -581,23 +658,41 @@ def test_failing_serial_trial_keeps_earlier_traces_and_no_summary(tmp_path, monk
         f"trace_{t:04d}.{ext}" for t in range(3) for ext in ("csv", "json")]
 
 
-def test_serial_peak_memory_grows_by_a_distance_row_per_trial(tmp_path):
+@pytest.mark.parametrize("where", ["serial", "pool"])
+def test_peak_memory_stays_flat_in_the_trial_count(tmp_path, monkeypatch, request, where):
+    import gc
     import tracemalloc
+
+    import kaczpr.cli as cli
 
     steps = 1000
     row = 8 * (steps + 1)  # one trial's dist; its whole trace is about 3 rows
+    # a median buffer of 4 rows, full from 4 trials on, as the default is from 17
+    monkeypatch.setattr(cli, "_MEDIAN_BLOCK_BYTES", 4 * row)
+    real_write = cli._write_trace
+
+    def write(*args):
+        # the JSON encoder leaves reference cycles: free each trial's, so that
+        # the peak shows what the run holds and not when the collector ran
+        real_write(*args)
+        gc.collect(0)
+
+    monkeypatch.setattr(cli, "_write_trace", write)
+    if where == "pool":
+        request.getfixturevalue("in_process_pool")  # the pool parent, in this process
     peaks = {}
     for trials in (1, 6, 18):  # the first run also makes one-time allocations
         args = ["solve", "--n", "4", "--m", "32", "--trials", str(trials), "--max-iters",
-                str(steps), "--seed", "2", "--serial", "--out", str(tmp_path / str(trials))]
+                str(steps), "--seed", "2", "--out", str(tmp_path / str(trials)),
+                *(["--serial"] if where == "serial" else ["--threads", "2"])]
         tracemalloc.start()
         try:
             assert run_cli(args) == 0
             peaks[trials] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    # keeping every trace would add about 4 rows per trial
-    assert 0.5 * row < (peaks[18] - peaks[6]) / 12 < 2 * row
+    # a distance matrix would add a row per trial, keeping every trace about 4
+    assert (peaks[18] - peaks[6]) / 12 < 0.1 * row
 
 
 _M_CASES = [("m", "--m", "0"), ("m", "--m", "-3"),

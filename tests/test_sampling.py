@@ -45,6 +45,21 @@ def test_complex_standard_normal_is_the_documented_formula_bit_for_bit(n):
     np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("n", [1, _PHASE_SLICE - 1, _PHASE_SLICE, _PHASE_SLICE + 1,
+                               3 * _PHASE_SLICE + 1])
+@pytest.mark.parametrize("skip", [1, 3, 7])
+def test_complex_standard_normal_from_an_advanced_generator_leaves_it_at_word_2n(n, skip):
+    # an odd number of words already read: u1 starts inside a Philox block
+    gen, ref = RngStream(82, n).generator(), RngStream(82, n).generator()
+    gen.bit_generator.random_raw(skip)
+    ref.bit_generator.random_raw(skip)
+    out = complex_standard_normal(n, gen)
+    u = ref.random((2, n))
+    want = np.sqrt(-np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
+    np.testing.assert_array_equal(out.view(np.uint64), want.view(np.uint64))
+    assert gen.random() == ref.random()
+
+
 @pytest.mark.parametrize("buffer_pos", range(5))
 def test_positioned_generator_continues_the_serial_stream(buffer_pos):
     gen = RngStream(81, 3).generator()

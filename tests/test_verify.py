@@ -210,6 +210,21 @@ def test_covariance_deviation_matches_dense_norm(n, m):
     assert covariance_deviation(rows) == pytest.approx(want, rel=1e-10)
 
 
+@pytest.mark.parametrize("n, m", [(16, 1024), (8, 512), (64, 1024)])
+def test_covariance_deviation_keeps_the_bits_of_the_whole_ensemble_product(n, m):
+    # verify covariance's default sizes, the CI run's and the 64-wide tile's
+    from kaczpr.initializers import _weighted_covariance
+
+    root = RngStream(7, 0)
+    for t in range(3):  # check_covariance's own ensembles
+        rows = make_ensemble(m, n, Model.UNIT_SPHERE, root.substream(t)).rows
+        want = rows.T @ rows.conj()
+        got = _weighted_covariance(rows, np.ones(m))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        deviation = want / m - np.eye(n) / n
+        assert covariance_deviation(rows) == float(np.max(np.abs(np.linalg.eigvalsh(deviation))))
+
+
 def test_covariance_deviation_counts_negative_eigenvalues():
     # n - 1 coordinate rows: the deviation's largest eigenvalue is 1/(n(n-1)),
     # its most negative -1/n, which sets the norm

@@ -286,35 +286,6 @@ class ContractionStats:
     trials_included: int
 
 
-def _mean_dist_sq(rows) -> tuple[np.ndarray, np.ndarray] | None:
-    """Mean over trials of squared distances, and its step ratios
-    mean[k+1] / mean[k]; None when `rows` is empty.
-
-    `rows` yields one distance array per trial and is read once, so it may
-    be a generator.  Their squares are summed in trial order as they come
-    and divided by the count, which gives the bits of
-    ``(np.stack(rows) ** 2).mean(axis=0)`` without holding the rows.  A
-    single column is the exception: numpy sums it pairwise, so one-long
-    rows are kept and that case is computed as written.  A zero mean gives
-    an inf or nan ratio, left for the caller to mask.
-    """
-    total, column, count = None, [], 0
-    for d in rows:
-        count += 1
-        if d.shape[0] == 1:
-            column.append(d)
-        elif total is None:
-            total = d**2
-        else:
-            total += d**2
-    if count == 0:
-        return None
-    mean_d2 = (np.stack(column) ** 2).mean(axis=0) if column else total / count
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = mean_d2[1:] / mean_d2[:-1]
-    return mean_d2, ratios
-
-
 def contraction_stats(traces: list[SolverTrace]) -> ContractionStats:
     """Ratio series r_k = mean dist^2 at k+1 over mean at k.
 
@@ -332,7 +303,9 @@ def contraction_stats(traces: list[SolverTrace]) -> ContractionStats:
     frac_exited = 1.0 - len(kept) / len(traces)
     if not kept:
         raise ValueError("every trace exited the ball; no surviving trials")
-    mean_d2, ratios = _mean_dist_sq([t.dist for t in kept])
+    mean_d2 = (np.stack([t.dist for t in kept]) ** 2).mean(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero mean: the caller's to mask
+        ratios = mean_d2[1:] / mean_d2[:-1]
     return ContractionStats(
         ratios=ratios,
         mean_dist_sq=mean_d2,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -34,7 +35,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from . import analysis
-from .geometry import _adjoint_products, _usable_cores
+from .geometry import _adjoint_products, _row_blocks, _usable_cores
 from .initializers import (
     InitConfig,
     default_norm_model,
@@ -118,9 +119,12 @@ class ExperimentConfig:
                 )
 
 
-def _for_command(value, command: str):
-    """`value`, or its entry for `command` where it is a {command: value} dict."""
-    return value.get(command) if isinstance(value, dict) else value
+def _for_run(value, run: str):
+    """`value`, or where it is a dict keyed by run or by command, its entry
+    for `run` or else for run's command."""
+    if not isinstance(value, dict):
+        return value
+    return value.get(run, value.get(run.split()[0]))
 
 
 def _within(lo, hi=math.inf) -> tuple:
@@ -171,13 +175,13 @@ class _Option(NamedTuple):
     kind: type  # int, float, bool or str
     flag: str
     runs: tuple  # the runs that read the key; the rest keep its default
-    default: object = None  # or {command: value}; None keeps the field's default or derives it
+    default: object = None  # or {run or command: value}; None keeps the field default or derives it
     valid: tuple | None = None  # a (test, text) pair; every test fails on NaN
     choices: tuple | dict = ()  # the allowed strings, or {command: strings}
 
     def check(self, value, command: str) -> None:
         """Reject an out-of-range value, naming the flag."""
-        names = _for_command(self.choices, command)
+        names = _for_run(self.choices, command)
         if names and value not in names:
             per = f" for {command}" if isinstance(self.choices, dict) else ""
             raise ValueError(f"{self.flag} must be one of {', '.join(names)}{per}, got {value!r}")
@@ -223,7 +227,8 @@ _OPTIONS = (
     _Option("planted_radius", float, "--radius", _SOLVERS,
             {"solve": 0.005, "baseline": 0.0, "rsc-scan": 0.0, "verify": 0.0},
             (lambda v: 0.0 <= v < math.inf, "be finite and at least 0")),
-    _Option("lam", float, "--lambda", (*_SCALARS, *_SCANS), None, (math.isfinite, "be finite")),
+    _Option("lam", float, "--lambda", (*_SCALARS, *_SCANS),
+            {"verify G": 0.4, "verify truncated-moment": 0.4}, (math.isfinite, "be finite")),
     _Option("sigma", float, "--sigma", _SCALARS, None, _within(-1.0, 1.0)),
     _Option("samples", int, "--samples", ("rsc-scan", *_SCALARS), {"verify": 10**6}, _within(0)),
     _Option("ball_radius", float, "--ball", ("solve", "rsc-scan"), None, _within(0.0, 1.0)),
@@ -316,7 +321,8 @@ def _trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
 
 
 class TrialResult(NamedTuple):
-    """What a trial's job returns: all that _run_trials reads of the trial."""
+    """What a trial's job returns: its distance row, which _run_trials spills,
+    and its stopping time."""
 
     dist: np.ndarray
     stopping_time: int | None
@@ -393,41 +399,30 @@ def _trial_job(args) -> TrialResult:
     return TrialResult(trace.dist, trace.stopping_time)
 
 
-def _run_trials(cfg: ExperimentConfig, spill) -> tuple:
-    """Run every trial's job, which writes its trace files, and fold in its result.
+def _run_trials(cfg: ExperimentConfig, spill) -> np.ndarray:
+    """Run every trial's job, which writes its trace files, and spill its distance row.
 
-    Results are taken in trial order as they arrive.  Each distance row is
-    appended to the binary file `spill` as raw float64, for _aggregate's
-    medians, and the rows of the trials that never left the ball go through
-    analysis._mean_dist_sq's running sum; so no trials x (max_iters + 1)
-    matrix is held, in this process or in the pool parent.  (At max_iters
-    0, _mean_dist_sq keeps the one column, which numpy sums pairwise.)
-    Returns _mean_dist_sq's (mean_dist2, ratios), None where every trial
-    exited, and each trial's stopping time, max_iters + 1 for a trial that
-    never left the ball.  The jobs run in this process where min(threads,
-    trials, usable cores) is 1, and in a pool of that many workers
-    otherwise.  A failing trial raises, possibly after other trials' traces
-    are on disk; aggregate.csv and summary.json are written only after
-    every trial has run.
+    Results are taken in trial order as they arrive, and each distance row
+    is appended to the binary file `spill` as raw float64, for _aggregate to
+    read back; so no trials x (max_iters + 1) matrix is held, in this
+    process or in the pool parent.  Returns each trial's stopping time,
+    max_iters + 1 for a trial that never left the ball.  The jobs run in
+    this process where min(threads, trials, usable cores) is 1, and in a
+    pool of that many workers otherwise.  A failing trial raises, possibly
+    after other trials' traces are on disk; aggregate.csv and summary.json
+    are written only after every trial has run.
     """
     digest = config_hash(cfg)
     stops = np.full(cfg.trials, cfg.max_iters + 1)
-
-    def surviving(results):
-        """Spill each row and keep each stopping time; yield the rows of trials that stayed."""
-        for t, result in enumerate(results):
-            spill.write(result.dist)
-            if result.stopping_time is None:
-                yield result.dist
-            else:
-                stops[t] = result.stopping_time
-
     jobs = ((cfg, t, digest) for t in range(cfg.trials))
     workers = 1 if cfg.serial else min(cfg.threads, cfg.trials, _usable_cores())
-    if workers == 1:
-        return analysis._mean_dist_sq(surviving(map(_trial_job, jobs))), stops
-    with _pool(workers) as pool:
-        return analysis._mean_dist_sq(surviving(_in_order(pool, jobs, 2 * workers))), stops
+    with _pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = _in_order(pool, jobs, 2 * workers) if workers > 1 else map(_trial_job, jobs)
+        for t, result in enumerate(results):
+            spill.write(result.dist)
+            if result.stopping_time is not None:
+                stops[t] = result.stopping_time
+    return stops
 
 
 def _in_order(pool, jobs, depth: int):
@@ -471,39 +466,48 @@ def _column_medians(a: np.ndarray) -> np.ndarray:
 _MEDIAN_BLOCK_BYTES = 1 << 17
 
 
-def _spilled_medians(spill, trials: int, k_len: int) -> np.ndarray:
-    """The column medians of the trials x k_len float64 rows in `spill`.
+def _spilled_columns(spill, stops: np.ndarray, k_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """mean_dist2 and median_dist of the trials x k_len float64 rows in `spill`.
 
     Each block of columns is read from every row into one reused buffer of
-    _MEDIAN_BLOCK_BYTES (one column at least) and goes through
-    _column_medians.  A column's median does not depend on its block, so
-    this gives np.median's bits over the whole matrix.
+    _MEDIAN_BLOCK_BYTES (three columns at least).  Its mean of squares over
+    the trials that never left the ball (stops == k_len) is taken first,
+    NaN where there are none; then _column_medians partitions the block in
+    place.  numpy sums a block of two or more columns along axis 0 in row
+    order, as it does the whole matrix, but one column pairwise; so the
+    blocks come from _row_blocks, which leaves no one-column block unless
+    k_len is 1, where the whole matrix is one column too.  A column's
+    values thus do not depend on its block: they are the bits of
+    (np.stack(rows) ** 2).mean(axis=0) and np.median over the whole matrix.
     """
-    width = min(k_len, max(1, _MEDIAN_BLOCK_BYTES // (8 * trials)))
-    buf = np.empty(trials * width)
-    median = np.empty(k_len)
-    for lo in range(0, k_len, width):
-        hi = min(lo + width, k_len)
+    trials = len(stops)
+    stayed = stops == k_len
+    width = max(3, _MEDIAN_BLOCK_BYTES // (8 * trials))
+    buf = np.empty(trials * min(k_len, width))
+    mean_d2, median_d = np.full(k_len, np.nan), np.empty(k_len)
+    for lo, hi in _row_blocks(k_len, width - 1):  # a one-column tail makes a block `width` wide
         block = buf[: trials * (hi - lo)].reshape(trials, hi - lo)
         for t, row in enumerate(block):
             spill.seek(8 * (t * k_len + lo))
             spill.readinto(row)
-        median[lo:hi] = _column_medians(block)
-    return median
+        if stayed.any():
+            mean_d2[lo:hi] = np.mean(np.square(block[stayed]), axis=0)
+        median_d[lo:hi] = _column_medians(block)
+    return mean_d2, median_d
 
 
-def _aggregate(cfg: ExperimentConfig, mean, stops: np.ndarray, spill, out: Path) -> dict:
+def _aggregate(cfg: ExperimentConfig, stops: np.ndarray, spill, out: Path) -> dict:
     """Write aggregate.csv; return the summary document, unwritten.
 
-    `mean` and `stops` are what _run_trials returns, and `spill` the file
-    it wrote the distance rows to.  mean_dist2 is restricted to trials
-    that never left the trust ball (the view the convergence statement is
-    about); median_dist and frac_exited cover all trials, median_dist read
-    back from `spill` and frac_exited from the stopping times alone.
+    `stops` is what _run_trials returns, and `spill` the file it wrote the
+    distance rows to; both columns are read back from it in one pass
+    (_spilled_columns).  mean_dist2 is restricted to trials that never
+    left the trust ball (the view the convergence statement is about), and
+    its step ratios give the contraction figures; median_dist and
+    frac_exited cover all trials, frac_exited from the stopping times alone.
     """
     k_len = cfg.max_iters + 1
-    mean_d2, ratios = (np.full(k_len, np.nan), None) if mean is None else mean
-    median_d = _spilled_medians(spill, cfg.trials, k_len)
+    mean_d2, median_d = _spilled_columns(spill, stops, k_len)
     # stops[t] <= k holds for a count of trials that grows with k
     frac_exited_by_k = np.cumsum(np.bincount(stops, minlength=k_len + 1)[:k_len]) / cfg.trials
 
@@ -519,13 +523,14 @@ def _aggregate(cfg: ExperimentConfig, mean, stops: np.ndarray, spill, out: Path)
             "final_median_dist": _finite_or_none(median_d[-1]),
         }
     )
-    if mean is not None and cfg.max_iters > 0:
-        # mean_dist2 is divided, since the floor scaled down would underflow
+    if (stops == k_len).any() and cfg.max_iters > 0:
+        # mean_dist2 is divided, since the floor scaled down would underflow;
+        # the steps it keeps have a positive mean to divide by
         mask = mean_d2[:-1] / cfg.scale**2 > FLOOR_DIST_SQ
         max_ratio = fitted = None
         if mask.any():
             k_eff = int(mask.sum())
-            max_ratio = _finite_or_none(ratios[mask].max())
+            max_ratio = _finite_or_none((mean_d2[1:][mask] / mean_d2[:-1][mask]).max())
             fitted = _finite_or_none((mean_d2[k_eff] / mean_d2[0]) ** (1.0 / k_eff))
         summary.update(
             {
@@ -542,7 +547,7 @@ def cmd_trials(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryFile() as spill:  # unnamed, under TMPDIR
-        summary = _aggregate(cfg, *_run_trials(cfg, spill), spill, out)
+        summary = _aggregate(cfg, _run_trials(cfg, spill), spill, out)
     failure = None
     if cfg.check and cfg.command == "solve":
         rate_bound, exit_bound = 1.0 - RATE_MARGIN / cfg.n, cfg.delta**2
@@ -714,7 +719,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if opt.kind is bool:
                 kind = dict(action="store_true")
             elif takes:
-                kind = dict(type=opt.kind, choices=_for_command(opt.choices, command) or None)
+                kind = dict(type=opt.kind, choices=_for_run(opt.choices, command) or None)
             else:  # read as text: resolve_config rejects it, naming the run
                 kind = {}
             if not takes:
@@ -727,7 +732,7 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
     lemma = cli_values.get("lemma") or ""
     run = f"{command} {lemma}".rstrip()
     taken = {opt.key for opt in _OPTIONS if run in opt.runs}
-    values = {opt.key: _for_command(opt.default, command) for opt in _OPTIONS}
+    values = {opt.key: _for_run(opt.default, run) for opt in _OPTIONS}
     provided = set()
     if config_path:
         loaded = json.loads(Path(config_path).read_text())

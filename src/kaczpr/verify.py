@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
-from .initializers import _weighted_covariance, real_overlap_direction
+from .initializers import real_overlap_direction
 from .rng import RngStream, _box_muller, _positioned, complex_standard_normal
 from .sampling import Model, make_ensemble
 
@@ -376,12 +376,11 @@ def covariance_deviation(rows: np.ndarray) -> float:
     """|| (1/m) sum_j a_j a_j^* - I/n ||_2 for unit-sphere rows.
 
     The deviation is Hermitian, so its spectral norm is its largest
-    eigenvalue in magnitude.  The second moment is the unit-weight
-    _weighted_covariance, which gives the bits of rows.T @ rows.conj().
+    eigenvalue in magnitude.
     """
     rows = np.asarray(rows, dtype=np.complex128)
     m, n = rows.shape
-    second_moment = _weighted_covariance(rows, np.ones(m)) / m
+    second_moment = rows.T @ rows.conj() / m
     return float(np.max(np.abs(np.linalg.eigvalsh(second_moment - np.eye(n) / n))))
 
 

@@ -467,7 +467,7 @@ def _matrix_aggregate(cfg, dists, stops) -> tuple[bytes, dict]:
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 300])
-@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 33])
+@pytest.mark.parametrize("trials", [1, 2, 7, 8, 9, 33, 200])
 def test_streamed_aggregate_equals_the_whole_matrix_reference(tmp_path, monkeypatch, trials,
                                                               max_iters):
     import kaczpr.cli as cli
@@ -487,8 +487,8 @@ def test_streamed_aggregate_equals_the_whole_matrix_reference(tmp_path, monkeypa
                   [int(e) for e in exits]):  # every trial exits
         want_csv, want_summary = _matrix_aggregate(cfg, dists, stops)
         # a median block of the whole row, one column short of it and one past it,
-        # and the default's
-        for width in (k_len, k_len - 1, k_len + 1, None):
+        # the default's, and budgets of one and two columns, below the floor of three
+        for width in (k_len, k_len - 1, k_len + 1, None, 1, 2):
             block = cli._MEDIAN_BLOCK_BYTES if width is None else 8 * trials * width
             monkeypatch.setattr(cli, "_MEDIAN_BLOCK_BYTES", block)
             assert _aggregate_rows(monkeypatch, cfg, dists, stops) == 0
@@ -770,11 +770,6 @@ def test_huge_lambda_gives_reports(capsys, lemma, lam):
         assert docs[0]["bound"] == 0.375
 
 
-def test_verify_g_default_lambda_names_the_flag(capsys):
-    assert run_cli(["verify", "G", "--seed", "1"]) == 2
-    assert "--lambda must be in [0, 0.4] for verify G" in capsys.readouterr().err
-
-
 def test_out_of_range_sigma_names_the_flag(capsys, monkeypatch):
     import kaczpr.cli as cli
 
@@ -907,6 +902,9 @@ def test_boolean_spellings_from_config_and_environment(monkeypatch):
     ("verify", {"lemma": "covariance"}, {}, "38b937e6c6a96d71"),
     ("verify", {"lemma": "restricted-ratio"}, {}, "ec826cc29a8a473c"),
     ("verify", {"lemma": "truncated-moment", "lam": 0.4}, {}, "fe6a5b5f3cda04df"),
+    # their own defaults are lambda 0.4, so they hash as the flag does
+    ("verify", {"lemma": "G"}, {}, "2f053d2f5e519ad8"),
+    ("verify", {"lemma": "truncated-moment"}, {}, "fe6a5b5f3cda04df"),
 ])
 def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
     cfg_file = tmp_path / "cfg.json"
@@ -938,8 +936,6 @@ _TAKEN_VALUES = {
 }
 _RUN_VALUES = {("baseline", "init"): "planted", ("verify G", "lam"): 0.2,
                ("verify truncated-moment", "lam"): 0.2}
-# what makes a run's defaults valid: the shared default lambda of 3 does not suit every lemma
-_BASE = {"verify G": {"lam": 0.4}, "verify truncated-moment": {"lam": 0.4}}
 
 
 def test_each_run_takes_the_options_of_its_row():
@@ -950,6 +946,15 @@ def test_each_run_takes_the_options_of_its_row():
     assert {run for opt in _OPTIONS for run in opt.runs} == set(_TAKES)
     # settable (run, option) pairs, from a flag, a config file or a variable alike
     assert sum(len(opt.runs) for opt in _OPTIONS) == 73
+
+
+def test_every_run_resolves_at_its_defaults(monkeypatch):
+    for name in [name for name in os.environ if name.startswith("KACZPR_")]:
+        monkeypatch.delenv(name)
+    for run in _TAKES:
+        command, _, lemma = run.partition(" ")
+        cfg = resolve_config(command, {"lemma": lemma} if lemma else {}, None)
+        assert (cfg.command, cfg.lemma) == (command, lemma)
 
 
 def _flag_args(key, value):
@@ -964,9 +969,8 @@ def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, caps
     from kaczpr.cli import _FLAGS, _build_parser
 
     command, _, lemma = run.partition(" ")
-    base = {k: v for k, v in _BASE.get(run, {}).items() if k != key}
-    cli = dict(base, lemma=lemma) if lemma else dict(base)
-    base_args = [*run.split(), *(a for k, v in base.items() for a in _flag_args(k, v))]
+    cli = {"lemma": lemma} if lemma else {}
+    base_args = run.split()
     value = _RUN_VALUES.get((run, key), _TAKEN_VALUES[key])
     for name in [name for name in os.environ if name.startswith("KACZPR_")]:
         monkeypatch.delenv(name)

@@ -23,6 +23,7 @@ iterate.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,11 @@ _EPS = np.finfo(np.float64).eps
 # n = 128.  A block holds a multiple of 4 rows, at least 4, so that its
 # products keep the whole-matrix bits (see _row_blocks).
 _STEP_BLOCK_BYTES = 1 << 18
+
+# Each thread's pair of expected_step block buffers, kept for its next call
+# of the same block shape: buffers of this size lie above glibc's mmap
+# threshold, so allocating them per call mapped and faulted fresh pages.
+_STEP_BUFFERS = threading.local()
 
 
 def _row_products(ensemble: Ensemble, *vectors: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -237,8 +243,9 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
 
     Rows with a_j^* z = 0 take the phase-one fallback step, matching the
     solver.  The rows are processed in blocks of about _STEP_BLOCK_BYTES
-    each, through two block buffers allocated once per call, so the
-    working set stays in cache whatever m is.
+    each, through two block buffers, so the working set stays in cache
+    whatever m is.  The buffers are the calling thread's pair from
+    _STEP_BUFFERS, allocated anew only when the block shape changes.
     """
     x = as_cvector(x, "x")
     z = as_cvector(z, "z")
@@ -247,8 +254,11 @@ def expected_step(ensemble: Ensemble, b: Measurements, x, z) -> float:
         raise ValueError("measurement count does not match ensemble")
     m, n = ensemble.m, ensemble.n
     block = _rows_per_block(n, _STEP_BLOCK_BYTES)
-    stepped = np.empty((min(block + 1, m), n), dtype=np.complex128)
-    diff = np.empty_like(stepped)
+    shape = (min(block + 1, m), n)
+    pair = getattr(_STEP_BUFFERS, "pair", None)
+    if pair is None or pair[0].shape != shape:
+        pair = _STEP_BUFFERS.pair = [np.empty(shape, dtype=np.complex128) for _ in range(2)]
+    stepped, diff = pair
     x_conj = x.conj()
     d2 = np.empty(m)
     for lo, hi in _row_blocks(m, block):

@@ -4,10 +4,10 @@ Subcommands: solve | rsc-scan | verify | baseline.  Every run is a pure
 function of its resolved configuration; all randomness flows from --seed
 through per-trial streams (stream_id = trial index) and purpose substreams.
 Value precedence is CLI flag > KACZPR_* environment variable > --config
-JSON > built-in default.  A run (a command, or verify and one lemma) rejects
-a flag or config key that its rows of _OPTIONS do not name, and ignores such
-a KACZPR_* variable.  Serial and threaded runs produce identical bytes:
-workers are deterministic per trial and aggregation happens in trial order.
+JSON > _OPTIONS.  A run (a command, verify and a lemma, or a solver and its
+--init) rejects a flag or config key that its rows of _OPTIONS do not name,
+and ignores such a KACZPR_* variable.  Serial and threaded runs give identical
+bytes: workers are deterministic per trial and aggregation is in trial order.
 
 Artifacts are plot-ready CSVs plus JSON sidecars; each sidecar embeds the
 seed, the generator identifier, and a hash of the resolved configuration,
@@ -73,7 +73,8 @@ _ALL = (*_DRAWN, *(f"verify {lemma}" for lemma in _LEMMAS))
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved settings for one harness run."""
+    """Resolved settings for one harness run, checked against _OPTIONS and
+    _RUN_RULES.  No field has a default: resolve_config gives each one."""
 
     command: str
     n: int
@@ -86,45 +87,34 @@ class ExperimentConfig:
     delta: float
     seed: int
     out_dir: str
-    threads: int = 1
-    serial: bool = False
-    scale: float = 1.0
-    ball_radius: float = 0.01
-    samples: int = 1000
-    h_samples: int = 500
-    lam: float = 3.0
-    sigma: float = 0.0
-    lemma: str = ""
-    check: bool = False
-    allow_radius_override: bool = False
+    threads: int
+    serial: bool
+    scale: float
+    ball_radius: float
+    samples: int
+    h_samples: int
+    lam: float
+    sigma: float
+    lemma: str
+    check: bool
+    allow_radius_override: bool
 
     def __post_init__(self):
         for opt in _OPTIONS:
             if opt.key != "m_over_n":  # no field: resolve_config turns it into m
                 opt.check(getattr(self, opt.key), self.command)
         run = f"{self.command} {self.lemma}".rstrip()
-        for rule_run, key, test, text in _RUN_RULES:
-            if rule_run == run and not test(getattr(self, key)):
-                raise ValueError(f"{_FLAGS[key]} must {text} for {run}")
-        if run == "verify covariance" and self.m < self.n:
-            m_flag, n_flag = _FLAGS["m"], _FLAGS["n"]
-            raise ValueError(f"{m_flag} must be at least {n_flag} for {run}, "
-                             f"got {m_flag} {self.m} and {n_flag} {self.n}")
-        # the exit-probability bound holds only for starts within 0.01 * delta
-        if run == "solve" and self.init == "planted" and not self.allow_radius_override:
-            if self.planted_radius > 0.01 * self.delta + 1e-15:
-                raise ValueError(
-                    f"{_FLAGS['planted_radius']} exceeds 0.01 * {_FLAGS['delta']}; pass "
-                    f"{_FLAGS['allow_radius_override']} to run outside the certified regime"
-                )
+        for rule_run, test, message in _RUN_RULES:
+            if rule_run in (run, f"{run} --init {self.init}") and not test(self):
+                raise ValueError(message.format(run=rule_run, cfg=self, **_FLAGS))
 
 
 def _for_run(value, run: str):
     """`value`, or where it is a dict keyed by run or by command, its entry
-    for `run` or else for run's command."""
+    for `run`, else for run's command, else for None."""
     if not isinstance(value, dict):
         return value
-    return value.get(run, value.get(run.split()[0]))
+    return value.get(run, value.get(run.split()[0], value.get(None)))
 
 
 def _within(lo, hi=math.inf) -> tuple:
@@ -169,13 +159,14 @@ _CONVERTERS = {
 
 
 class _Option(NamedTuple):
-    """One setting, read from its flag, its KACZPR_* variable or its config key."""
+    """One setting: the runs that read it from its flag, its KACZPR_* variable
+    or its config key, its default, which every other run keeps, and its range."""
 
     key: str  # the ExperimentConfig field, the config key and the variable's suffix
     kind: type  # int, float, bool or str
     flag: str
-    runs: tuple  # the runs that read the key; the rest keep its default
-    default: object = None  # or {run or command: value}; None keeps the field default or derives it
+    runs: tuple  # the runs that read the key; "solve --init planted" names a run and its start
+    default: object  # or {run or command: value, None: every other run's}; None derives it
     valid: tuple | None = None  # a (test, text) pair; every test fails on NaN
     choices: tuple | dict = ()  # the allowed strings, or {command: strings}
 
@@ -189,9 +180,7 @@ class _Option(NamedTuple):
             raise ValueError(f"{self.flag} must {self.valid[1]}, got {value!r}")
 
     def coerce(self, value, source: str):
-        """Convert a raw config-file or environment value; `source` names it in errors."""
-        if value is None:
-            raise ValueError(f"{source} is null; give a value or leave it out")
+        """Convert a raw value from `source`, which errors name."""
         convert, kind = _CONVERTERS[self.kind]
         try:
             return convert(value)
@@ -205,8 +194,8 @@ _OPTIONS = (
     _Option("out_dir", str, "--out", _ALL,
             {"solve": "results/solve", "baseline": "results/baseline",
              "rsc-scan": "results/rsc_scan", "verify": ""}),
-    _Option("threads", int, "--threads", _SOLVERS, None, _within(1)),
-    _Option("serial", bool, "--serial", _SOLVERS),
+    _Option("threads", int, "--threads", _SOLVERS, 1, _within(1)),
+    _Option("serial", bool, "--serial", _SOLVERS, False),
     _Option("n", int, "--n", _SIZED, {"solve": 128, "baseline": 32, "rsc-scan": 64, "verify": 16},
             _within(1)),
     _Option("m", int, "--m", _SIZED, {"baseline": 512, "verify": 1024}, _within(1)),
@@ -216,41 +205,50 @@ _OPTIONS = (
             {"solve": 200, "baseline": 50, "rsc-scan": 1, "verify": 50}, _within(1)),
     _Option("max_iters", int, "--max-iters", _SOLVERS, None, _within(0)),
     _Option("delta", float, "--delta", ("solve", "verify covariance", *_SCANS),
-            {"solve": 0.5, "baseline": 1.0, "rsc-scan": 0.5, "verify": 0.5},
-            (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
+            {None: 0.5, "baseline": 1.0}, (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")),
     _Option("model", str, "--model", _DRAWN, "sphere", choices=tuple(m.value for m in Model)),
     # squared distances up to (2 * scale)^2 must stay representable
-    _Option("scale", float, "--scale", _DRAWN, None, _within(MIN_SCALE, MAX_SCALE)),
-    _Option("init", str, "--init", _SOLVERS,
-            {"solve": "planted", "baseline": "zero", "rsc-scan": "planted", "verify": "planted"},
+    _Option("scale", float, "--scale", _DRAWN, 1.0, _within(MIN_SCALE, MAX_SCALE)),
+    _Option("init", str, "--init", _SOLVERS, {None: "planted", "baseline": "zero"},
             choices={"solve": ("planted", "spectral"), "baseline": ("zero", "planted")}),
-    _Option("planted_radius", float, "--radius", _SOLVERS,
-            {"solve": 0.005, "baseline": 0.0, "rsc-scan": 0.0, "verify": 0.0},
+    _Option("planted_radius", float, "--radius",
+            ("solve --init planted", "baseline --init planted"), {None: 0.0, "solve": 0.005},
             (lambda v: 0.0 <= v < math.inf, "be finite and at least 0")),
     _Option("lam", float, "--lambda", (*_SCALARS, *_SCANS),
-            {"verify G": 0.4, "verify truncated-moment": 0.4}, (math.isfinite, "be finite")),
-    _Option("sigma", float, "--sigma", _SCALARS, None, _within(-1.0, 1.0)),
-    _Option("samples", int, "--samples", ("rsc-scan", *_SCALARS), {"verify": 10**6}, _within(0)),
-    _Option("ball_radius", float, "--ball", ("solve", "rsc-scan"), None, _within(0.0, 1.0)),
-    _Option("h_samples", int, "--h-samples", _SCANS, None, _within(1)),
-    _Option("check", bool, "--check", _SOLVERS),
-    _Option("allow_radius_override", bool, "--allow-radius-override", ("solve",)),
+            {None: 3.0, "verify G": 0.4, "verify truncated-moment": 0.4},
+            (math.isfinite, "be finite")),
+    _Option("sigma", float, "--sigma", _SCALARS, 0.0, _within(-1.0, 1.0)),
+    _Option("samples", int, "--samples", ("rsc-scan", *_SCALARS), {None: 1000, "verify": 10**6},
+            _within(0)),
+    _Option("ball_radius", float, "--ball", ("solve", "rsc-scan"), 0.01, _within(0.0, 1.0)),
+    _Option("h_samples", int, "--h-samples", _SCANS, 500, _within(1)),
+    _Option("check", bool, "--check", _SOLVERS, False),
+    _Option("allow_radius_override", bool, "--allow-radius-override", ("solve --init planted",),
+            False),
 )
 _BY_KEY = {opt.key: opt for opt in _OPTIONS}
 _FLAGS = {opt.key: opt.flag for opt in _OPTIONS}
 
-# Ranges that differ between the runs that take an option, which the option
-# table cannot state: rows of (run, key, test, text), checked in order.  The
-# regimes of lam and sigma restate the library's own domain checks, so that a
-# rejection names the flag.
+# What a run needs beyond the ranges of _OPTIONS: rows of (run, test, message),
+# checked in order.  test takes the config and fails on NaN; message is
+# formatted with the run, the flags by key and the config as cfg.  The regimes
+# of lam and sigma restate the library's domain checks, to name the flag.
 _RUN_RULES = (
-    ("verify F", "samples", *_within(1)),
-    ("verify G", "samples", *_within(1)),
-    ("verify F", "lam", lambda lam: lam >= 2.95, "be at least 2.95"),
-    ("verify G", "lam", lambda lam: 0.0 <= lam <= 0.4, "be in [0, 0.4]"),
-    ("verify restricted-ratio", "lam", lambda lam: lam >= 3.0, "be at least 3"),
-    ("verify truncated-moment", "lam", lambda lam: 0.0 < lam <= 0.4, "be in (0, 0.4]"),
-    ("verify F", "sigma", lambda sigma: -1.0 < sigma < 1.0, "lie in (-1, 1)"),
+    ("verify F", lambda c: c.samples >= 1, "{samples} must be at least 1 for {run}"),
+    ("verify G", lambda c: c.samples >= 1, "{samples} must be at least 1 for {run}"),
+    ("verify F", lambda c: c.lam >= 2.95, "{lam} must be at least 2.95 for {run}"),
+    ("verify G", lambda c: 0.0 <= c.lam <= 0.4, "{lam} must be in [0, 0.4] for {run}"),
+    ("verify restricted-ratio", lambda c: c.lam >= 3.0, "{lam} must be at least 3 for {run}"),
+    ("verify truncated-moment", lambda c: 0.0 < c.lam <= 0.4,
+     "{lam} must be in (0, 0.4] for {run}"),
+    ("verify F", lambda c: -1.0 < c.sigma < 1.0, "{sigma} must lie in (-1, 1) for {run}"),
+    ("verify covariance", lambda c: c.m >= c.n,
+     "{m} must be at least {n} for {run}, got {m} {cfg.m} and {n} {cfg.n}"),
+    # the exit bound holds for starts within 0.01 * delta, to a few ulps (0.7, 0.007)
+    ("solve --init planted", lambda c: c.allow_radius_override
+     or c.planted_radius <= 0.01 * c.delta * (1.0 + 4.0 * sys.float_info.epsilon),
+     "{planted_radius} exceeds 0.01 * {delta}; pass {allow_radius_override} "
+     "to run outside the certified regime"),
 )
 
 
@@ -729,34 +727,35 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(command: str, cli_values: dict, config_path: str | None) -> ExperimentConfig:
+    """The config of one run: each key it takes from its flag, else its
+    variable, else its config key, else _OPTIONS; other keys at their default.
+    init comes first: solve and baseline also take the rows of their start.
+    A flag or config key the run does not take raises; such a variable is
+    ignored.  m and max_iters are derived from n."""
     lemma = cli_values.get("lemma") or ""
     run = f"{command} {lemma}".rstrip()
-    taken = {opt.key for opt in _OPTIONS if run in opt.runs}
-    values = {opt.key: _for_run(opt.default, run) for opt in _OPTIONS}
-    provided = set()
-    if config_path:
-        loaded = json.loads(Path(config_path).read_text())
-        if not isinstance(loaded, dict):
-            raise ValueError("--config must hold a JSON object")
-        for key, val in loaded.items():
-            if key in ("command", "lemma"):
-                raise ValueError(f"config key {key!r} is not allowed: it is a positional argument")
-            if key not in taken:
-                raise ValueError(f"config key {key!r} is not an option of {run}" if key in values
-                                 else f"unknown config key: {key!r}")
-            values[key] = _BY_KEY[key].coerce(val, f"config key {key!r}")
-            provided.add(key)
-    for opt in _OPTIONS:
-        name = ENV_PREFIX + opt.key.upper()
-        if opt.key in taken and name in os.environ:  # variables carry across runs
-            values[opt.key] = opt.coerce(os.environ[name], name)
-            provided.add(opt.key)
-    for key, val in cli_values.items():
-        if val is not None and key in values:
-            if key not in taken:
-                raise ValueError(f"{_FLAGS[key]} is not an option of {run}")
-            values[key] = val
-            provided.add(key)
+    loaded = json.loads(Path(config_path).read_text()) if config_path else {}
+    if not isinstance(loaded, dict):
+        raise ValueError("--config must hold a JSON object")
+    for key, val in loaded.items():
+        if key not in _BY_KEY:
+            raise ValueError(f"config key {key!r} is not allowed: it is a positional argument"
+                             if key in ("command", "lemma") else f"unknown config key: {key!r}")
+        if val is None:
+            raise ValueError(f"config key {key!r} is null; give a value or leave it out")
+    values, provided = {}, set()
+    for opt in sorted(_OPTIONS, key=lambda opt: opt.key != "init"):
+        key, name = opt.key, ENV_PREFIX + opt.key.upper()
+        at = f"{run} --init {values.get('init')}" if run in _BY_KEY["init"].runs else run
+        takes = run in opt.runs or at in opt.runs
+        values[key] = _for_run(opt.default, run)
+        for raw, source in ((loaded.get(key), f"config key {key!r}"),
+                            (os.environ.get(name), name), (cli_values.get(key), opt.flag)):
+            if raw is not None and takes:
+                values[key] = opt.coerce(raw, source)
+                provided.add(key)
+            elif raw is not None and source != name:  # variables carry across runs
+                raise ValueError(f"{source} is not an option of {at}")
 
     # an explicit m wins; an explicit m_over_n beats a command's default m
     ratio = values.pop("m_over_n")
@@ -766,8 +765,7 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
             values["m"] = ratio * values["n"]
     if values["max_iters"] is None:
         values["max_iters"] = (50 if command == "baseline" else 40) * values["n"]
-    given = {key: val for key, val in values.items() if val is not None}
-    return ExperimentConfig(command=command, lemma=lemma, **given)
+    return ExperimentConfig(command=command, lemma=lemma, **values)
 
 
 def main(argv=None) -> int:

@@ -41,28 +41,32 @@ _TILE_BYTES = 1 << 20
 
 
 def _weighted_covariance(rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_j w_j a_j a_j^*, with the bits of (rows.T * weights) @ rows.conj().
+    """sum_j w_j a_j a_j^* in the tiles on and below the diagonal, with the
+    bits of (rows.T * weights) @ rows.conj() there, and zero above them:
+    np.linalg.eigh reads only the lower triangle.
 
     Formed one output tile at a time from operands of _TILE_BYTES each, so
-    no copy of the whole ensemble exists.  Every entry still takes its whole
-    m-long inner product in one matrix product, which is what keeps the
-    bits; the tile edges come from _row_blocks, so no tile is one wide.
+    no copy of the whole ensemble exists.  Every entry formed still takes
+    its whole m-long inner product in one matrix product, which is what
+    keeps the bits; the tile edges come from _row_blocks, so no tile is one
+    wide.
     """
     m, n = rows.shape
-    cov = np.empty((n, n), dtype=np.complex128)
+    cov = np.zeros((n, n), dtype=np.complex128)
     tiles = _row_blocks(n, _rows_per_block(m, _TILE_BYTES))
     for lo, hi in tiles:
         left = rows[:, lo:hi].T * weights
         for lo2, hi2 in tiles:
-            np.matmul(left, rows[:, lo2:hi2].conj(), out=cov[lo:hi, lo2:hi2])
+            if lo2 <= lo:
+                np.matmul(left, rows[:, lo2:hi2].conj(), out=cov[lo:hi, lo2:hi2])
     return cov
 
 
 def spectral_init(ensemble: Ensemble, b: Measurements, config: InitConfig, rng: RngStream) -> np.ndarray:
     """Spectral estimate of the signal from magnitudes alone.
 
-    Y is formed as a dense n x n matrix, tile by tile (_weighted_covariance),
-    and its top eigenvector comes from a dense Hermitian eigensolver: no
+    Y's lower triangle is formed tile by tile (_weighted_covariance), and
+    its top eigenvector comes from a dense Hermitian eigensolver: no
     iteration, tolerance or convergence test.
     Nothing is drawn from rng, so the start point does not depend on the
     stream passed in.

@@ -514,7 +514,40 @@ def test_expected_step_peaks_below_1_mib():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1 << 20
+    assert peak <= 1 << 19  # a warm call reuses its block buffers: 0.3 MiB measured
+
+
+def test_expected_step_buffers_are_each_threads_own():
+    import sys
+    import threading
+
+    # one block shape and four problems, so that a pair shared between the
+    # threads would be overwritten mid-call with another problem's rows
+    cases = []
+    for k in range(4):
+        root = RngStream(36002 + k, 0)
+        e = make_ensemble(300, 8, Model.UNIT_SPHERE, root.substream(1))
+        x = unit_signal(8, root.substream(2))
+        case = (e, measure(e, x), x, planted_init(x, 0.005, root.substream(3)))
+        cases.append((case, _bits(_ref_expected_step(*case))))
+    results = []
+
+    def work(i):
+        case, want = cases[i]
+        results.extend(_bits(expected_step(*case)) == want for _ in range(40))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [True] * 160
 
 
 def test_rsc_margin_peaks_below_1_mib():

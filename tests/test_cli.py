@@ -88,6 +88,12 @@ def test_solve_radius_guard(tmp_path):
          "--radius", "0.2", "--allow-radius-override", "--out", str(tmp_path / "y")]
     )
     assert rc == 0
+    # the bound is 0.01 * delta to a few ulps: 0.01 * 0.7 lies 1 ulp below 0.007
+    for delta, radius in [(0.5, 0.005), (0.7, 0.007), (0.35, 0.0035)]:
+        resolve_config("solve", {"delta": delta, "planted_radius": radius}, None)
+    for delta, radius in [(1e-14, 1e-15), (1e-14, 1.1e-15)]:
+        with pytest.raises(ValueError, match="--radius exceeds 0.01 [*] --delta"):
+            resolve_config("solve", {"delta": delta, "planted_radius": radius}, None)
 
 
 def test_config_file_and_env_precedence(tmp_path, monkeypatch):
@@ -146,7 +152,7 @@ def test_trace_regenerates_from_sidecar_config(tmp_path):
     assert run_cli(["solve", "--n", "10", "--m", "80", "--trials", "2", "--max-iters", "30",
                     "--seed", "31", "--out", str(out)]) == 0
     stored = read_json(out / "summary.json")["config"]
-    cfg = ExperimentConfig(out_dir="unused", **stored)
+    cfg = ExperimentConfig(out_dir="unused", threads=1, serial=False, check=False, **stored)
     sidecar = read_json(out / "trace_0001.json")
     trace = _trial(cfg, sidecar["trial"])
     regen = tmp_path / "regen.csv"
@@ -275,16 +281,16 @@ def test_baseline_deterministic(tmp_path):
 
 
 def test_experiment_config_validation():
+    fields = dict(command="solve", n=8, m=8, model="sphere", trials=1, max_iters=1,
+                  init="planted", planted_radius=0.005, delta=0.5, seed=0, out_dir="x",
+                  threads=1, serial=False, scale=1.0, ball_radius=0.01, samples=1000,
+                  h_samples=500, lam=3.0, sigma=0.0, lemma="", check=False,
+                  allow_radius_override=False)
+    ExperimentConfig(**fields)
     with pytest.raises(ValueError):
-        ExperimentConfig(
-            command="solve", n=0, m=8, model="sphere", trials=1, max_iters=1,
-            init="planted", planted_radius=0.005, delta=0.5, seed=0, out_dir="x",
-        )
+        ExperimentConfig(**dict(fields, n=0))
     with pytest.raises(ValueError):
-        ExperimentConfig(
-            command="solve", n=8, m=8, model="sphere", trials=1, max_iters=1,
-            init="warm", planted_radius=0.005, delta=0.5, seed=0, out_dir="x",
-        )
+        ExperimentConfig(**dict(fields, init="warm"))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -881,13 +887,12 @@ def test_boolean_spellings_from_config_and_environment(monkeypatch):
 # valid configs resolve to the hashes they had before key-by-key validation
 @pytest.mark.parametrize("command, cli, doc, digest", [
     ("solve", {}, {"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1}, "75d5100995158b2a"),
-    # every key solve takes; the digest is the one this config had before each
-    # run took only its own keys
+    # every key a spectral solve takes; the digest is the one this config had
+    # before a run's start decided whether it takes --radius
     ("solve", {}, {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
-                   "init": "spectral", "planted_radius": 0.001, "delta": 0.25, "seed": 5,
-                   "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
-                   "ball_radius": 1.0, "check": True, "allow_radius_override": False},
-     "2bb26e2cf8e0dcc6"),
+                   "init": "spectral", "delta": 0.25, "seed": 5, "out_dir": "o", "threads": 2,
+                   "serial": True, "scale": 2.5, "ball_radius": 1.0, "check": True},
+     "8073d55913f3aa86"),
     ("baseline", {}, {"n": "12", "m": 8.0, "serial": "yes", "scale": "2.5", "check": 1},
      "dd932da717fc83df"),
     ("rsc-scan", {}, {"samples": 10, "ball_radius": 0.02, "n": 16, "m_over_n": 4},
@@ -914,11 +919,14 @@ def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
 
 # the keys each run takes besides seed and out_dir, stated apart from the CLI's table
 _SOLVE_KEYS = {"threads", "serial", "n", "m", "m_over_n", "trials", "max_iters", "delta", "model",
-               "scale", "init", "planted_radius", "ball_radius", "check", "allow_radius_override"}
+               "scale", "init", "ball_radius", "check"}
+_BASELINE_KEYS = _SOLVE_KEYS - {"delta", "ball_radius"}
 _LEMMA_SCAN_KEYS = {"n", "m", "m_over_n", "lam", "delta", "h_samples"}
 _TAKES = {
-    "solve": _SOLVE_KEYS,
-    "baseline": _SOLVE_KEYS - {"delta", "ball_radius", "allow_radius_override"},
+    "solve": _SOLVE_KEYS | {"planted_radius", "allow_radius_override"},
+    "solve --init spectral": _SOLVE_KEYS,
+    "baseline": _BASELINE_KEYS,
+    "baseline --init planted": _BASELINE_KEYS | {"planted_radius"},
     "rsc-scan": {"n", "m", "m_over_n", "model", "scale", "samples", "ball_radius"},
     "verify F": {"lam", "sigma", "samples"},
     "verify G": {"lam", "sigma", "samples"},
@@ -936,25 +944,37 @@ _TAKEN_VALUES = {
 }
 _RUN_VALUES = {("baseline", "init"): "planted", ("verify G", "lam"): 0.2,
                ("verify truncated-moment", "lam"): 0.2}
+# a run of solve or baseline is named with its start, the default one where none is given
+_STARTS = {"solve": "solve --init planted", "baseline": "baseline --init zero"}
+
+
+def _resolve_run(args, config=None):
+    """resolve_config for a run's command line, as main gives it."""
+    from kaczpr.cli import _build_parser
+
+    values = vars(_build_parser().parse_args(args))
+    return resolve_config(values.pop("command"), values, config)
 
 
 def test_each_run_takes_the_options_of_its_row():
     from kaczpr.cli import _OPTIONS
 
-    assert {run: {opt.key for opt in _OPTIONS if run in opt.runs} for run in _TAKES} == {
-        run: keys | {"seed", "out_dir"} for run, keys in _TAKES.items()}
-    assert {run for opt in _OPTIONS for run in opt.runs} == set(_TAKES)
+    # a run with a start takes the rows of its command and of the two together
+    named = {run: {_STARTS.get(run, run), run.split(" --init")[0]} for run in _TAKES}
+    taken = {run: {opt.key for opt in _OPTIONS if named[run] & set(opt.runs)} for run in _TAKES}
+    assert taken == {run: keys | {"seed", "out_dir"} for run, keys in _TAKES.items()}
+    assert {run for opt in _OPTIONS for run in opt.runs} <= set().union(*named.values())
     # settable (run, option) pairs, from a flag, a config file or a variable alike
-    assert sum(len(opt.runs) for opt in _OPTIONS) == 73
+    assert sum(len(keys) for keys in taken.values()) == 101
 
 
 def test_every_run_resolves_at_its_defaults(monkeypatch):
     for name in [name for name in os.environ if name.startswith("KACZPR_")]:
         monkeypatch.delenv(name)
     for run in _TAKES:
-        command, _, lemma = run.partition(" ")
-        cfg = resolve_config(command, {"lemma": lemma} if lemma else {}, None)
-        assert (cfg.command, cfg.lemma) == (command, lemma)
+        cfg = _resolve_run(run.split())
+        assert _STARTS.get(run, run) in (f"{cfg.command} {cfg.lemma}".rstrip(),
+                                         f"{cfg.command} --init {cfg.init}")
 
 
 def _flag_args(key, value):
@@ -966,24 +986,22 @@ def _flag_args(key, value):
 @pytest.mark.parametrize("run", sorted(_TAKES))
 @pytest.mark.parametrize("key", sorted(_TAKEN_VALUES))
 def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, capsys, run, key):
-    from kaczpr.cli import _FLAGS, _build_parser
+    from kaczpr.cli import _FLAGS
 
-    command, _, lemma = run.partition(" ")
-    cli = {"lemma": lemma} if lemma else {}
     base_args = run.split()
     value = _RUN_VALUES.get((run, key), _TAKEN_VALUES[key])
+    if key == "init" and "--init" in base_args:  # the start is the value that each source sets
+        base_args, value = base_args[:-2], base_args[-1]
     for name in [name for name in os.environ if name.startswith("KACZPR_")]:
         monkeypatch.delenv(name)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({key: value}))
     variable = "KACZPR_" + key.upper()
     if key in _TAKES[run] | {"seed", "out_dir"}:
-        args = vars(_build_parser().parse_args([*base_args, *_flag_args(key, value)]))
-        from_flag = resolve_config(command, {k: v for k, v in args.items() if k != "config"},
-                                   None)
-        from_config = resolve_config(command, cli, str(cfg_file))
+        from_flag = _resolve_run([*base_args, *_flag_args(key, value)])
+        from_config = _resolve_run(base_args, str(cfg_file))
         monkeypatch.setenv(variable, "true" if value is True else _text(value))
-        from_env = resolve_config(command, cli, None)
+        from_env = _resolve_run(base_args)
         assert from_flag == from_config == from_env
         if key == "m_over_n":
             assert from_flag.m == value * from_flag.n
@@ -992,14 +1010,15 @@ def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, caps
         return
     out = tmp_path / "out"
     assert _exit_code([*base_args, *_flag_args(key, value), "--out", str(out)]) == 2
-    assert f"kaczpr: {_FLAGS[key]} is not an option of {run}\n" in capsys.readouterr().err
+    named = _STARTS.get(run, run)
+    assert f"kaczpr: {_FLAGS[key]} is not an option of {named}\n" in capsys.readouterr().err
     assert _exit_code([*base_args, "--config", str(cfg_file), "--out", str(out)]) == 2
-    assert f"config key {key!r} is not an option of {run}" in capsys.readouterr().err
+    assert f"config key {key!r} is not an option of {named}\n" in capsys.readouterr().err
     assert not out.exists()
     # a variable is neither read nor checked: "x" parses as no number and no choice
-    default = config_hash(resolve_config(command, cli, None))
+    default = config_hash(_resolve_run(base_args))
     monkeypatch.setenv(variable, "x")
-    assert config_hash(resolve_config(command, cli, None)) == default
+    assert config_hash(_resolve_run(base_args)) == default
 
 
 def test_a_flag_no_run_takes_is_rejected_under_the_commands_usage(capsys):
@@ -1022,13 +1041,18 @@ def test_a_commands_help_lists_only_the_flags_it_takes(capsys):
 @pytest.mark.parametrize("command, doc, message", [
     # the zero start's distance can exceed a ball of relative radius 1 in the last bit
     ("baseline", {"ball_radius": 1.0}, "config key 'ball_radius' is not an option of baseline"),
-    # its hash was pinned; solve reads none of samples, h_samples, lam and sigma
+    # its hash was pinned; solve reads neither samples nor h_samples
+    ("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
+               "init": "spectral", "delta": 0.25, "seed": 5, "out_dir": "o", "threads": 2,
+               "serial": True, "scale": 2.5, "ball_radius": 1.0, "samples": 10,
+               "h_samples": 20, "check": True},
+     "config key 'samples' is not an option of solve"),
+    # its hash was pinned (2bb26e2cf8e0dcc6), though a spectral start reads no radius
     ("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
                "init": "spectral", "planted_radius": 0.001, "delta": 0.25, "seed": 5,
                "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
-               "ball_radius": 1.0, "samples": 10, "h_samples": 20, "lam": 0.3,
-               "sigma": 0.2, "check": True, "allow_radius_override": False},
-     "config key 'samples' is not an option of solve"),
+               "ball_radius": 1.0, "check": True, "allow_radius_override": False},
+     "config key 'planted_radius' is not an option of solve --init spectral"),
 ])
 def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc, message):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -1183,7 +1207,7 @@ _RANGES = [
     ("delta", "--delta", "verify covariance",
      st.just(_NAN) | st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
      st.floats(_TINY, 1.0)),
-    ("planted_radius", "--radius", "baseline", _floats_outside(0.0, _INF),
+    ("planted_radius", "--radius", "baseline --init planted", _floats_outside(0.0, _INF),
      st.floats(0.0, allow_infinity=False)),
     ("ball_radius", "--ball", "rsc-scan", _floats_outside(0.0, 1.0), st.floats(0.0, 1.0)),
     ("scale", "--scale", "solve", _floats_outside(1e-150, 1e150), st.floats(1e-150, 1e150)),
@@ -1225,7 +1249,7 @@ def _exit_code(argv):
 @given(data=st.data())
 def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, run, bad, good, data):
     value = data.draw(bad)
-    small = list(_SMALL_ARGS[run])
+    small = list(_SMALL_ARGS[run.split(" --init")[0]])
     if flag in small:
         del small[small.index(flag):small.index(flag) + 2]
     args, env = [*run.split(), *small], {}
@@ -1249,18 +1273,13 @@ def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, run, bad,
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_in_range_value_resolves_alike_from_every_source(key, flag, run, bad, good, data):
-    from kaczpr.cli import _build_parser
-
     value = data.draw(good)
-    command, _, lemma_name = run.partition(" ")
-    lemma = {"lemma": lemma_name} if lemma_name else {}
-    args = vars(_build_parser().parse_args([*run.split(), f"{flag}={_text(value)}"]))
-    from_flag = resolve_config(command, {k: v for k, v in args.items() if k != "config"}, None)
+    from_flag = _resolve_run([*run.split(), f"{flag}={_text(value)}"])
     with mock.patch.dict(os.environ, {"KACZPR_" + key.upper(): _text(value)}):
-        from_env = resolve_config(command, lemma, None)
+        from_env = _resolve_run(run.split())
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "cfg.json").write_text(json.dumps({key: value}))
-        from_config = resolve_config(command, lemma, str(Path(tmp, "cfg.json")))
+        from_config = _resolve_run(run.split(), str(Path(tmp, "cfg.json")))
     assert from_flag == from_env == from_config
     if key == "m_over_n":
         assert from_flag.m == value * from_flag.n

@@ -23,13 +23,14 @@ def test_options_table_lists_every_flag():
 
 
 def _runs_cell(runs):
-    """The Commands cell for a row of runs: "all", or "solve, verify F, G" style."""
+    """The Commands cell for a row of runs: "all", or "solve, verify F, G" style,
+    with a start as in "solve --init planted"."""
     from kaczpr.cli import _LEMMAS
 
     if set(runs) == {"solve", "baseline", "rsc-scan", *(f"verify {lemma}" for lemma in _LEMMAS)}:
         return "all"
-    commands = [run for run in runs if " " not in run]
-    lemmas = [run.split()[1] for run in runs if " " in run]
+    commands = [run for run in runs if not run.startswith("verify ")]
+    lemmas = [run.split()[1] for run in runs if run.startswith("verify ")]
     return ", ".join(commands + (["verify " + ", ".join(lemmas)] if lemmas else []))
 
 

@@ -219,13 +219,17 @@ def rsc_margin(ensemble: Ensemble, x, z) -> RscSample:
     f = _loss(absP, q)
     _reject_zero_products(absP)
     d = _derivative(P, absP, q, Pv)
-    gap_direct = d - f
-    gap_rows = float(np.mean(_row_terms(absP, Q, q, Ph)[0]))
-    scale = max(abs(gap_direct), abs(gap_rows))
-    # roundoff allowance: both paths lose ~eps * ||x|| * ||h|| absolute
+    gap = d - f
+    # compared relative to ||x||^2, with the row terms on the products over
+    # ||x|| (exact at ||x|| = 1): the terms are quartic in the products before
+    # they divide, so unscaled they overflow from about ||x|| = 1e70
     xnorm = float(np.linalg.norm(x))
-    tol = 1e-8 * scale + 100.0 * _EPS * xnorm * h_norm
-    if abs(gap_direct - gap_rows) > tol:
+    gap_direct = gap / xnorm**2
+    gap_rows = float(np.mean(_row_terms(absP / xnorm, Q / xnorm, q / xnorm, Ph / xnorm)[0]))
+    scale = max(abs(gap_direct), abs(gap_rows))
+    # roundoff allowance: both paths lose ~eps * ||h|| / ||x|| relative; NaN fails
+    tol = 1e-8 * scale + 100.0 * _EPS * h_norm / xnorm
+    if not abs(gap_direct - gap_rows) <= tol:
         raise ArithmeticError(
             f"derivative-loss gap mismatch: direct {gap_direct!r} vs row sum {gap_rows!r}"
         )
@@ -234,7 +238,7 @@ def rsc_margin(ensemble: Ensemble, x, z) -> RscSample:
         h_norm=h_norm,
         f_value=f,
         directional=d,
-        margin_gamma=gap_direct / h_norm**2,
+        margin_gamma=gap / h_norm**2,
     )
 
 

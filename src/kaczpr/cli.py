@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
@@ -544,6 +545,12 @@ def cmd_trials(cfg: ExperimentConfig) -> int:
     """`solve` or `baseline`: run the trials, then write aggregate.csv and summary.json."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a rerun into a used directory keeps none of the names an earlier run
+    # wrote: its summary and aggregate go first, then its traces
+    trace = re.compile(r"trace_\d{4,}\.(csv|json)")
+    for path in (out / "summary.json", out / "aggregate.csv",
+                 *(p for p in out.glob("trace_*") if trace.fullmatch(p.name))):
+        path.unlink(missing_ok=True)
     with tempfile.TemporaryFile() as spill:  # unnamed, under TMPDIR
         summary = _aggregate(cfg, _run_trials(cfg, spill), spill, out)
     failure = None
@@ -578,7 +585,6 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
     xhat = x / xnorm
 
     values = np.empty((4, cfg.samples))  # the columns h_norm, f, D and gamma_hat
-    min_gamma = None
     for s in range(cfg.samples):
         if s == 0:
             direction, radius = xhat, cfg.ball_radius
@@ -597,10 +603,9 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
             radius = cfg.ball_radius * (0.1 + 0.9 * gen.random())
         z = x + radius * xnorm * direction
         sample = analysis.rsc_margin(ensemble, x, z)
-        gamma = sample.margin_gamma
-        min_gamma = gamma if min_gamma is None else min(min_gamma, gamma)
-        values[:, s] = sample.h_norm, sample.f_value, sample.directional, gamma
+        values[:, s] = sample.h_norm, sample.f_value, sample.directional, sample.margin_gamma
     _write_csv(out / "rsc_scan.csv", "sample_id,h_norm,f,D,gamma_hat", values)
+    min_gamma = min(values[3].tolist(), default=None)  # a NaN wins only as the first sample
 
     threshold = RATE_MARGIN / cfg.n
     asserted = abs(cfg.ball_radius - 0.01) < 1e-12 and cfg.samples > 0
@@ -627,40 +632,24 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
 
 
 def _verify_reports(cfg: ExperimentConfig) -> list:
-    # imported here: only verify runs load the Monte Carlo checks
-    from .verify import (
-        Direction,
-        LemmaParams,
-        _report,
-        check_covariance,
-        check_restricted_ratio,
-        check_truncated_moment,
-        mc_F,
-        mc_G_reports,
-        series_F,
-    )
+    from . import verify  # imported here: only verify runs load the Monte Carlo checks
 
     stream = RngStream(cfg.seed, 0)
-    name = cfg.lemma
-    if name == "F":
-        params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma)
-        report = mc_F(params, cfg.samples, stream)
-        agreement = abs(report.estimate - series_F(params))
-        agree_report = _report("F_vs_series", agreement, 0.0, 3.0 * report.std_error,
-                               Direction.AT_MOST, report.samples)
-        return [report, agree_report]
-    if name == "G":
-        params = LemmaParams(lam=cfg.lam, sigma=cfg.sigma)
-        return mc_G_reports(params, cfg.samples, stream)
-    if name == "covariance":
-        return [check_covariance(cfg.n, cfg.m, cfg.delta, cfg.trials, stream)]
-    if name == "restricted-ratio":
-        params = LemmaParams(lam=cfg.lam, delta=cfg.delta)
-        return [check_restricted_ratio(cfg.n, cfg.m, params, cfg.h_samples, stream)]
-    if name == "truncated-moment":
-        params = LemmaParams(lam=cfg.lam, delta=cfg.delta)
-        return [check_truncated_moment(cfg.n, cfg.m, params, cfg.h_samples, stream)]
-    raise ValueError(f"unknown lemma selector: {name!r}")
+    params = verify.LemmaParams(lam=cfg.lam, sigma=cfg.sigma, delta=cfg.delta)
+    scans = {"restricted-ratio": verify.check_restricted_ratio,
+             "truncated-moment": verify.check_truncated_moment}
+    if cfg.lemma == "F":
+        report = verify.mc_F(params, cfg.samples, stream)
+        agreement = abs(report.estimate - verify.series_F(params))
+        return [report, verify._report("F_vs_series", agreement, 0.0, 3.0 * report.std_error,
+                                       verify.Direction.AT_MOST, report.samples)]
+    if cfg.lemma == "G":
+        return verify.mc_G_reports(params, cfg.samples, stream)
+    if cfg.lemma == "covariance":
+        return [verify.check_covariance(cfg.n, cfg.m, cfg.delta, cfg.trials, stream)]
+    if cfg.lemma in scans:
+        return [scans[cfg.lemma](cfg.n, cfg.m, params, cfg.h_samples, stream)]
+    raise ValueError(f"unknown lemma selector: {cfg.lemma!r}")
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
@@ -672,15 +661,12 @@ def cmd_verify(cfg: ExperimentConfig) -> int:
     # verify G scores one estimate against two ceilings, closed then loose,
     # and both reports are named G
     stems = ["G", "G_loose"] if cfg.lemma == "G" else [r.name for r in reports]
-    all_passed = True
     for stem, report in zip(stems, reports):
-        doc = report.to_dict()
-        doc.update(stamp)
+        doc = {**report.to_dict(), **stamp}
         print(json.dumps(doc, sort_keys=True))
         if out is not None:
             _write_json(out / f"report_{stem}.json", doc)
-        all_passed = all_passed and report.passed
-    return 0 if all_passed else 1
+    return 0 if all(report.passed for report in reports) else 1
 
 
 _COMMANDS = {

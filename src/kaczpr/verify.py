@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -69,15 +69,7 @@ class LemmaReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "estimate": self.estimate,
-            "std_error": self.std_error,
-            "bound": self.bound,
-            "direction": self.direction.value,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "direction": self.direction.value}
 
 
 def _report(name, estimate, std_error, bound, direction, samples) -> LemmaReport:

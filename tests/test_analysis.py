@@ -149,6 +149,18 @@ def test_margin_row_bounds_hold_rowwise():
         assert strong.any() and (~strong).sum() >= 0
 
 
+def test_rsc_margin_cross_check_fails_on_a_non_finite_row_sum(monkeypatch):
+    import kaczpr.analysis as analysis
+
+    e = make_ensemble(64, 8, Model.UNIT_SPHERE, RngStream(34000, 0))
+    x = unit_signal(8, RngStream(34001, 0))
+    z = planted_init(x, 0.005, RngStream(34002, 0))
+    nan_terms = lambda *a: (np.full(e.m, np.nan), None, None)  # noqa: E731
+    monkeypatch.setattr(analysis, "_row_terms", nan_terms)
+    with pytest.raises(ArithmeticError, match="row sum nan"):
+        rsc_margin(e, x, z)
+
+
 def test_rsc_margin_fields_and_phase_invariance():
     n, m = 16, 256
     root = RngStream(97, 0)

@@ -7,6 +7,7 @@ import re
 import string
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -304,6 +305,41 @@ def test_solve_reports_non_finite_iterate(tmp_path, monkeypatch, capsys):
     assert rc == 2
     assert re.search(r"kaczpr: non-finite iterate at step \d+, produced by row \d+",
                      capsys.readouterr().err)
+
+
+def test_a_rerun_into_a_used_out_keeps_only_its_own_artifacts(tmp_path, monkeypatch, capsys):
+    import kaczpr.cli as cli
+    from kaczpr import Measurements
+
+    out = tmp_path / "out"
+    run = ["solve", "--n", "8", "--m", "64", "--serial", "--out", str(out)]
+    assert run_cli([*run, "--trials", "3", "--max-iters", "20"]) == 0
+    for name in ("notes.txt", "trace_notes.csv", "trace_10000.json"):
+        (out / name).write_text("kept?\n")
+    assert run_cli([*run, "--trials", "2", "--max-iters", "20", "--seed", "9"]) == 0
+    digest = read_json(out / "summary.json")["config_hash"]
+    traces = [f"trace_{t:04d}.{suffix}" for t in range(2) for suffix in ("csv", "json")]
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["aggregate.csv", "notes.txt", "summary.json", "trace_notes.csv", *traces])
+    for t in range(2):
+        assert read_json(out / f"trace_{t:04d}.json")["config_hash"] == digest
+    # a rerun that fails at its first trial leaves no summary of the run before
+    monkeypatch.setattr(cli, "measure", lambda e, x: Measurements(values=np.full(e.m, 1e308)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the steps that overflow
+        assert run_cli([*run, "--trials", "2", "--max-iters", "100"]) == 2
+    assert "non-finite iterate" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace_notes.csv"]
+
+
+def test_rsc_scan_at_the_largest_scale_warns_nothing(tmp_path, capsys):
+    out = tmp_path / "scan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(["rsc-scan", "--n", "8", "--m", "64", "--samples", "30",
+                        "--scale", "1e150", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert np.isfinite(read_json(out / "rsc_scan.json")["min_gamma"])
 
 
 _SCALE_RUN = ["--n", "8", "--m", "64", "--trials", "1", "--max-iters", "200", "--serial"]
@@ -884,32 +920,44 @@ def test_boolean_spellings_from_config_and_environment(monkeypatch):
         assert resolve_config("solve", {}, None).check is expected
 
 
-# valid configs resolve to the hashes they had before key-by-key validation
+# valid configs resolve to the hashes they had before key-by-key validation; here
+# and in the tables below, explicit ids keep a case's name when other rows change
 @pytest.mark.parametrize("command, cli, doc, digest", [
-    ("solve", {}, {"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1}, "75d5100995158b2a"),
+    pytest.param("solve", {}, {"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1},
+                 "75d5100995158b2a", id="solve-cli0-doc0-75d5100995158b2a"),
     # every key a spectral solve takes; the digest is the one this config had
     # before a run's start decided whether it takes --radius
-    ("solve", {}, {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
-                   "init": "spectral", "delta": 0.25, "seed": 5, "out_dir": "o", "threads": 2,
-                   "serial": True, "scale": 2.5, "ball_radius": 1.0, "check": True},
-     "8073d55913f3aa86"),
-    ("baseline", {}, {"n": "12", "m": 8.0, "serial": "yes", "scale": "2.5", "check": 1},
-     "dd932da717fc83df"),
-    ("rsc-scan", {}, {"samples": 10, "ball_radius": 0.02, "n": 16, "m_over_n": 4},
-     "2f72b5e379cefde8"),
-    ("verify", {"lemma": "G"}, {"lam": 0.1, "sigma": 0.9, "samples": 1000}, "94ce3522062f614f"),
+    pytest.param("solve", {}, {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3,
+                               "max_iters": 9, "init": "spectral", "delta": 0.25, "seed": 5,
+                               "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
+                               "ball_radius": 1.0, "check": True},
+                 "8073d55913f3aa86", id="solve-cli1-doc1-8073d55913f3aa86"),
+    pytest.param("baseline", {}, {"n": "12", "m": 8.0, "serial": "yes", "scale": "2.5",
+                                  "check": 1},
+                 "dd932da717fc83df", id="baseline-cli2-doc2-dd932da717fc83df"),
+    pytest.param("rsc-scan", {}, {"samples": 10, "ball_radius": 0.02, "n": 16, "m_over_n": 4},
+                 "2f72b5e379cefde8", id="rsc-scan-cli3-doc3-2f72b5e379cefde8"),
+    pytest.param("verify", {"lemma": "G"}, {"lam": 0.1, "sigma": 0.9, "samples": 1000},
+                 "94ce3522062f614f", id="verify-cli4-doc4-94ce3522062f614f"),
     # each command's defaults, with an empty config file
-    ("solve", {}, {}, "e177d3c4486dbed9"),
-    ("baseline", {}, {}, "2d4d10e0f1581034"),
-    ("rsc-scan", {}, {}, "a668a74141410aee"),
-    ("verify", {"lemma": "F"}, {}, "5fe591f825525f32"),
-    ("verify", {"lemma": "G", "lam": 0.4}, {}, "2f053d2f5e519ad8"),
-    ("verify", {"lemma": "covariance"}, {}, "38b937e6c6a96d71"),
-    ("verify", {"lemma": "restricted-ratio"}, {}, "ec826cc29a8a473c"),
-    ("verify", {"lemma": "truncated-moment", "lam": 0.4}, {}, "fe6a5b5f3cda04df"),
+    pytest.param("solve", {}, {}, "e177d3c4486dbed9", id="solve-cli5-doc5-e177d3c4486dbed9"),
+    pytest.param("baseline", {}, {}, "2d4d10e0f1581034", id="baseline-cli6-doc6-2d4d10e0f1581034"),
+    pytest.param("rsc-scan", {}, {}, "a668a74141410aee", id="rsc-scan-cli7-doc7-a668a74141410aee"),
+    pytest.param("verify", {"lemma": "F"}, {}, "5fe591f825525f32",
+                 id="verify-cli8-doc8-5fe591f825525f32"),
+    pytest.param("verify", {"lemma": "G", "lam": 0.4}, {}, "2f053d2f5e519ad8",
+                 id="verify-cli9-doc9-2f053d2f5e519ad8"),
+    pytest.param("verify", {"lemma": "covariance"}, {}, "38b937e6c6a96d71",
+                 id="verify-cli10-doc10-38b937e6c6a96d71"),
+    pytest.param("verify", {"lemma": "restricted-ratio"}, {}, "ec826cc29a8a473c",
+                 id="verify-cli11-doc11-ec826cc29a8a473c"),
+    pytest.param("verify", {"lemma": "truncated-moment", "lam": 0.4}, {}, "fe6a5b5f3cda04df",
+                 id="verify-cli12-doc12-fe6a5b5f3cda04df"),
     # their own defaults are lambda 0.4, so they hash as the flag does
-    ("verify", {"lemma": "G"}, {}, "2f053d2f5e519ad8"),
-    ("verify", {"lemma": "truncated-moment"}, {}, "fe6a5b5f3cda04df"),
+    pytest.param("verify", {"lemma": "G"}, {}, "2f053d2f5e519ad8",
+                 id="verify-cli13-doc13-2f053d2f5e519ad8"),
+    pytest.param("verify", {"lemma": "truncated-moment"}, {}, "fe6a5b5f3cda04df",
+                 id="verify-cli14-doc14-fe6a5b5f3cda04df"),
 ])
 def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
     cfg_file = tmp_path / "cfg.json"
@@ -1040,19 +1088,24 @@ def test_a_commands_help_lists_only_the_flags_it_takes(capsys):
 # configs that were once valid, though their runs read none of the keys named
 @pytest.mark.parametrize("command, doc, message", [
     # the zero start's distance can exceed a ball of relative radius 1 in the last bit
-    ("baseline", {"ball_radius": 1.0}, "config key 'ball_radius' is not an option of baseline"),
+    pytest.param("baseline", {"ball_radius": 1.0},
+                 "config key 'ball_radius' is not an option of baseline",
+                 id="baseline-doc0-config key 'ball_radius' is not an option of baseline"),
     # its hash was pinned; solve reads neither samples nor h_samples
-    ("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
-               "init": "spectral", "delta": 0.25, "seed": 5, "out_dir": "o", "threads": 2,
-               "serial": True, "scale": 2.5, "ball_radius": 1.0, "samples": 10,
-               "h_samples": 20, "check": True},
-     "config key 'samples' is not an option of solve"),
+    pytest.param("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3,
+                           "max_iters": 9, "init": "spectral", "delta": 0.25, "seed": 5,
+                           "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
+                           "ball_radius": 1.0, "samples": 10, "h_samples": 20, "check": True},
+                 "config key 'samples' is not an option of solve",
+                 id="solve-doc1-config key 'samples' is not an option of solve"),
     # its hash was pinned (2bb26e2cf8e0dcc6), though a spectral start reads no radius
-    ("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3, "max_iters": 9,
-               "init": "spectral", "planted_radius": 0.001, "delta": 0.25, "seed": 5,
-               "out_dir": "o", "threads": 2, "serial": True, "scale": 2.5,
-               "ball_radius": 1.0, "check": True, "allow_radius_override": False},
-     "config key 'planted_radius' is not an option of solve --init spectral"),
+    pytest.param("solve", {"n": 16, "m_over_n": 4, "model": "gaussian", "trials": 3,
+                           "max_iters": 9, "init": "spectral", "planted_radius": 0.001,
+                           "delta": 0.25, "seed": 5, "out_dir": "o", "threads": 2,
+                           "serial": True, "scale": 2.5, "ball_radius": 1.0, "check": True,
+                           "allow_radius_override": False},
+                 "config key 'planted_radius' is not an option of solve --init spectral",
+                 id="solve-doc2-config key 'planted_radius' is not an option of solve --init spectral"),
 ])
 def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc, message):
     (tmp_path / "cfg.json").write_text(json.dumps(doc))
@@ -1066,28 +1119,42 @@ def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc
 # field or no flag at all, or never came: an out-of-range value from any
 # source must exit 2 and name its flag before anything is written.
 @pytest.mark.parametrize("args, env, doc, flag", [
-    (["solve"], {"KACZPR_INIT": "zero"}, {}, "--init"),
-    (["baseline"], {}, {"init": "spectral"}, "--init"),
-    (["solve"], {}, {"planted_radius": float("nan")}, "--radius"),
-    (["solve", "--ball", "nan"], {}, {}, "--ball"),
-    (["solve", "--ball", "2"], {}, {}, "--ball"),
-    (["rsc-scan", "--ball", "nan"], {}, {}, "--ball"),
-    (["verify", "F", "--lambda", "inf"], {}, {}, "--lambda"),
-    (["solve", "--n", "0"], {}, {}, "--n"),
-    (["solve", "--max-iters", "-1"], {}, {}, "--max-iters"),
-    (["solve", "--seed", "-1"], {}, {}, "--seed"),
-    (["verify", "covariance", "--trials", "0"], {}, {}, "--trials"),
-    (["verify", "F", "--samples", "0"], {}, {}, "--samples"),
-    (["verify", "G", "--lambda", "0.4", "--samples", "0"], {}, {}, "--samples"),
-    (["verify", "restricted-ratio", "--h-samples", "-1"], {}, {}, "--h-samples"),
-    (["verify", "truncated-moment", "--lambda", "0.4", "--h-samples", "0"], {}, {}, "--h-samples"),
-    (["baseline", "--trials", "0"], {}, {}, "--trials"),
-    (["solve"], {"KACZPR_MODEL": "foo"}, {}, "--model"),
-    (["solve", "--trials", "0"], {}, {}, "--trials"),
-    (["verify", "restricted-ratio", "--h-samples", "0"], {}, {}, "--h-samples"),
-    (["verify", "F", "--lambda", "2"], {}, {}, "--lambda"),
-    (["verify", "restricted-ratio", "--lambda", "2.5"], {}, {}, "--lambda"),
-    (["verify", "truncated-moment", "--lambda", "0"], {}, {}, "--lambda"),
+    pytest.param(["solve"], {"KACZPR_INIT": "zero"}, {}, "--init", id="args0-env0-doc0---init"),
+    pytest.param(["baseline"], {}, {"init": "spectral"}, "--init", id="args1-env1-doc1---init"),
+    pytest.param(["solve"], {}, {"planted_radius": float("nan")}, "--radius",
+                 id="args2-env2-doc2---radius"),
+    pytest.param(["solve", "--ball", "nan"], {}, {}, "--ball", id="args3-env3-doc3---ball"),
+    pytest.param(["solve", "--ball", "2"], {}, {}, "--ball", id="args4-env4-doc4---ball"),
+    pytest.param(["rsc-scan", "--ball", "nan"], {}, {}, "--ball", id="args5-env5-doc5---ball"),
+    pytest.param(["verify", "F", "--lambda", "inf"], {}, {}, "--lambda",
+                 id="args6-env6-doc6---lambda"),
+    pytest.param(["solve", "--n", "0"], {}, {}, "--n", id="args7-env7-doc7---n"),
+    pytest.param(["solve", "--max-iters", "-1"], {}, {}, "--max-iters",
+                 id="args8-env8-doc8---max-iters"),
+    pytest.param(["solve", "--seed", "-1"], {}, {}, "--seed", id="args9-env9-doc9---seed"),
+    pytest.param(["verify", "covariance", "--trials", "0"], {}, {}, "--trials",
+                 id="args10-env10-doc10---trials"),
+    pytest.param(["verify", "F", "--samples", "0"], {}, {}, "--samples",
+                 id="args11-env11-doc11---samples"),
+    pytest.param(["verify", "G", "--lambda", "0.4", "--samples", "0"], {}, {}, "--samples",
+                 id="args12-env12-doc12---samples"),
+    pytest.param(["verify", "restricted-ratio", "--h-samples", "-1"], {}, {}, "--h-samples",
+                 id="args13-env13-doc13---h-samples"),
+    pytest.param(["verify", "truncated-moment", "--lambda", "0.4", "--h-samples", "0"], {}, {},
+                 "--h-samples", id="args14-env14-doc14---h-samples"),
+    pytest.param(["baseline", "--trials", "0"], {}, {}, "--trials",
+                 id="args15-env15-doc15---trials"),
+    pytest.param(["solve"], {"KACZPR_MODEL": "foo"}, {}, "--model",
+                 id="args16-env16-doc16---model"),
+    pytest.param(["solve", "--trials", "0"], {}, {}, "--trials", id="args17-env17-doc17---trials"),
+    pytest.param(["verify", "restricted-ratio", "--h-samples", "0"], {}, {}, "--h-samples",
+                 id="args18-env18-doc18---h-samples"),
+    pytest.param(["verify", "F", "--lambda", "2"], {}, {}, "--lambda",
+                 id="args19-env19-doc19---lambda"),
+    pytest.param(["verify", "restricted-ratio", "--lambda", "2.5"], {}, {}, "--lambda",
+                 id="args20-env20-doc20---lambda"),
+    pytest.param(["verify", "truncated-moment", "--lambda", "0"], {}, {}, "--lambda",
+                 id="args21-env21-doc21---lambda"),
 ])
 def test_out_of_range_values_name_the_flag(tmp_path, monkeypatch, capsys, args, env, doc, flag):
     for name, value in env.items():
@@ -1101,10 +1168,12 @@ def test_out_of_range_values_name_the_flag(tmp_path, monkeypatch, capsys, args, 
 
 
 @pytest.mark.parametrize("args, message, verdict", [
-    (["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "50"],
-     "solve: certified bounds violated", "rate_ok"),
-    (["baseline", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "5"],
-     "baseline: median error above bound", "median_ok"),
+    pytest.param(["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "50"],
+                 "solve: certified bounds violated", "rate_ok",
+                 id="args0-solve: certified bounds violated-rate_ok"),
+    pytest.param(["baseline", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "5"],
+                 "baseline: median error above bound", "median_ok",
+                 id="args1-baseline: median error above bound-median_ok"),
 ])
 def test_failed_check_exits_1_and_records_the_verdict(tmp_path, capsys, args, message, verdict):
     assert run_cli([*args, "--check", "--out", str(tmp_path)]) == 1

@@ -39,14 +39,14 @@ from . import analysis
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
 from .initializers import (
     InitConfig,
+    _scan_directions,
     default_norm_model,
     planted_init,
-    real_overlap_direction,
     spectral_init,
 )
 from .kaczmarz import SolverConfig, SolverTrace, _write_csv, run_linear, run_pr
-from .rng import GENERATOR_ID, RngStream, complex_standard_normal
-from .sampling import Model, make_ensemble, measure
+from .rng import GENERATOR_ID, RngStream
+from .sampling import Model, _unit_draw, make_ensemble, measure
 
 SCHEMA_VERSION = 1
 ENV_PREFIX = "KACZPR_"
@@ -292,12 +292,7 @@ def _sidecar_base(cfg: ExperimentConfig) -> dict:
 def _draw(cfg: ExperimentConfig, stream: RngStream) -> tuple:
     """The ensemble and the signal x, of norm cfg.scale, that a trial's stream gives."""
     ensemble = make_ensemble(cfg.m, cfg.n, cfg.model, stream.substream(TAG_ENSEMBLE))
-    gen = stream.substream(TAG_SIGNAL).generator()
-    while True:
-        xi = complex_standard_normal(cfg.n, gen)
-        norm = np.linalg.norm(xi)
-        if norm > 0.0:
-            return ensemble, cfg.scale * xi / norm
+    return ensemble, _unit_draw(cfg.n, stream.substream(TAG_SIGNAL).generator(), scale=cfg.scale)
 
 
 def _trial(cfg: ExperimentConfig, trial: int) -> SolverTrace:
@@ -582,25 +577,11 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
     ensemble, x = _draw(cfg, stream)
     gen = stream.substream(TAG_SCAN).generator()
     xnorm = float(np.linalg.norm(x))
-    xhat = x / xnorm
 
     values = np.empty((4, cfg.samples))  # the columns h_norm, f, D and gamma_hat
-    for s in range(cfg.samples):
-        if s == 0:
-            direction, radius = xhat, cfg.ball_radius
-        elif s == 1:
-            direction, radius = -xhat, cfg.ball_radius
-        elif s == 2:
-            while True:
-                u = complex_standard_normal(cfg.n, gen)
-                u = u - np.vdot(xhat, u) * xhat
-                norm = np.linalg.norm(u)
-                if norm > 0.0:
-                    break
-            direction, radius = u / norm, cfg.ball_radius
-        else:
-            direction = real_overlap_direction(x, gen)
-            radius = cfg.ball_radius * (0.1 + 0.9 * gen.random())
+    for s, direction in zip(range(cfg.samples), _scan_directions(x, gen)):
+        # the structured three sit on the ball, the random ones inside it
+        radius = cfg.ball_radius if s < 3 else cfg.ball_radius * (0.1 + 0.9 * gen.random())
         z = x + radius * xnorm * direction
         sample = analysis.rsc_margin(ensemble, x, z)
         values[:, s] = sample.h_norm, sample.f_value, sample.directional, sample.margin_gamma

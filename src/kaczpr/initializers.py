@@ -15,8 +15,8 @@ from enum import Enum
 import numpy as np
 
 from .geometry import _row_blocks, _rows_per_block, as_cvector
-from .rng import RngStream, complex_standard_normal
-from .sampling import Ensemble, Measurements, Model
+from .rng import RngStream
+from .sampling import Ensemble, Measurements, Model, _unit_draw
 
 
 class NormModel(Enum):
@@ -100,12 +100,23 @@ def real_overlap_direction(x, gen: np.random.Generator) -> np.ndarray:
     if not np.isfinite(xnorm_sq):
         # the projection below would turn every draw into NaN and never return
         raise ValueError("x is too large: its squared norm overflows")
+    return _unit_draw(x.shape[0], gen, lambda u: u - (1j * np.vdot(x, u).imag / xnorm_sq) * x)
+
+
+def _scan_directions(x, gen: np.random.Generator):
+    """The unit error directions that rsc-scan and the verify scans sample, endlessly.
+
+    x / ||x||, its negation and a random direction orthogonal to x, then
+    random directions with real overlap against x (real_overlap_direction).
+    Each random one is drawn from gen only when it is asked for.
+    """
+    x = as_cvector(x, "x")
+    xhat = x / np.linalg.norm(x)
+    yield xhat
+    yield -xhat
+    yield _unit_draw(x.shape[0], gen, lambda u: u - np.vdot(xhat, u) * xhat)
     while True:
-        u = complex_standard_normal(x.shape[0], gen)
-        u = u - (1j * np.vdot(x, u).imag / xnorm_sq) * x
-        norm = np.linalg.norm(u)
-        if norm > 0.0:
-            return u / norm
+        yield real_overlap_direction(x, gen)
 
 
 def planted_init(x, rel_radius: float, rng: RngStream) -> np.ndarray:

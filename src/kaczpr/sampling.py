@@ -80,16 +80,26 @@ def sample_complex_gaussian(n: int, rng: RngStream) -> np.ndarray:
     return complex_standard_normal(n, rng.generator())
 
 
+def _unit_draw(n: int, gen: np.random.Generator, project=None, scale: float = 1.0) -> np.ndarray:
+    """scale * u / ||u|| for u = project(xi), xi complex Gaussian, drawn again while u = 0.
+
+    Every unit-vector draw of the package goes through here; project=None
+    leaves xi as drawn.
+    """
+    while True:
+        u = complex_standard_normal(n, gen)
+        if project is not None:
+            u = project(u)
+        norm = np.linalg.norm(u)
+        if norm > 0.0:
+            return scale * u / norm
+
+
 def sample_unit_sphere(n: int, rng: RngStream) -> np.ndarray:
     """One vector uniform on the complex unit sphere (normalized Gaussian)."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    gen = rng.generator()
-    while True:
-        xi = complex_standard_normal(n, gen)
-        norm = np.linalg.norm(xi)
-        if norm > 0.0:
-            return xi / norm
+    return _unit_draw(n, rng.generator())
 
 
 def make_ensemble(m: int, n: int, model, rng: RngStream) -> Ensemble:

@@ -29,6 +29,7 @@ Gauss-Legendre panels that halve toward the integrand's peak at t = 1.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import threading
 from dataclasses import asdict, dataclass
@@ -37,9 +38,9 @@ from enum import Enum
 import numpy as np
 
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
-from .initializers import real_overlap_direction
-from .rng import RngStream, _box_muller, _positioned, complex_standard_normal
-from .sampling import Model, make_ensemble
+from .initializers import _scan_directions, real_overlap_direction
+from .rng import RngStream, _box_muller, _positioned
+from .sampling import Model, _unit_draw, make_ensemble
 
 _BATCH = 1 << 17
 # Samples per slice of a batch, drawn and evaluated in one pass, so that
@@ -178,8 +179,7 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
     if mode == "full":
         if dim < 2:
             raise ValueError("full mode needs dimension at least 2")
-        x = complex_standard_normal(dim, gen)
-        x /= np.linalg.norm(x)
+        x = _unit_draw(dim, gen)
         h = real_overlap_direction(x, gen)
         # steer the overlap to the requested sigma within the real slice
         overlap = float(np.vdot(x, h).real)
@@ -403,40 +403,14 @@ def check_covariance(
     return _report("covariance", frac, se, 0.98, Direction.AT_LEAST, trials)
 
 
-def _direction_batch(x: np.ndarray, count: int, gen) -> np.ndarray:
-    """Unit directions with real overlap against x: structured ones first.
-
-    Row 0 is x itself, row 1 its negation, row 2 a random direction
-    orthogonal to x; the rest are random within the real-overlap slice.
-    """
-    n = x.shape[0]
-    out = np.empty((count, n), dtype=np.complex128)
-    for i in range(count):
-        if i == 0:
-            out[i] = x
-        elif i == 1:
-            out[i] = -x
-        elif i == 2:
-            norm = 0.0
-            while norm == 0.0:
-                u = real_overlap_direction(x, gen)
-                u = u - np.vdot(x, u) * x
-                norm = np.linalg.norm(u)
-            out[i] = u / norm
-        else:
-            out[i] = real_overlap_direction(x, gen)
-    return out
-
-
 def _scan_products(n: int, m: int, h_samples: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
     """Q = A^* x and H = A^* [h_1 .. h_s] for one sphere ensemble, unit x and sampled h."""
     if h_samples < 1:
         raise ValueError("h_samples must be positive")
     ensemble = make_ensemble(m, n, Model.UNIT_SPHERE, rng.substream(0))
     gen = rng.substream(1).generator()
-    x = complex_standard_normal(n, gen)
-    x /= np.linalg.norm(x)
-    dirs = _direction_batch(x, h_samples, gen)
+    x = _unit_draw(n, gen)
+    dirs = np.array(list(itertools.islice(_scan_directions(x, gen), h_samples)))
     # m and m x h_samples
     return _adjoint_products(ensemble.rows, x), _adjoint_products(ensemble.rows, dirs.T)
 

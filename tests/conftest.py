@@ -1,14 +1,9 @@
-import numpy as np
 import pytest
 
-from kaczpr import Model, RngStream, make_ensemble
-from kaczpr.rng import complex_standard_normal
+from kaczpr import Model, RngStream, make_ensemble, sample_unit_sphere
 
 
-def unit_signal(n, stream: RngStream):
-    gen = stream.generator()
-    x = complex_standard_normal(n, gen)
-    return x / np.linalg.norm(x)
+unit_signal = sample_unit_sphere
 
 
 @pytest.fixture

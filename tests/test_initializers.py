@@ -14,7 +14,7 @@ from kaczpr import (
     planted_init,
     spectral_init,
 )
-from kaczpr.initializers import default_norm_model
+from kaczpr.initializers import _scan_directions, default_norm_model
 from conftest import unit_signal
 
 
@@ -194,3 +194,28 @@ def test_init_config_validation():
     assert cfg.norm_estimate is NormModel.GAUSSIAN
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.norm_estimate = NormModel.SPHERE
+
+
+@pytest.mark.parametrize("scale", [1.0, 7.5, 1e150])
+def test_scan_directions_start_structured_then_keep_real_overlap(scale):
+    x = scale * unit_signal(12, RngStream(78, 0))
+    xhat = x / np.linalg.norm(x)
+    dirs = _scan_directions(x, RngStream(79, 0).generator())
+    np.testing.assert_array_equal(next(dirs), xhat)
+    np.testing.assert_array_equal(next(dirs), -xhat)
+    orth = next(dirs)
+    assert abs(np.vdot(xhat, orth)) < 1e-14
+    assert np.linalg.norm(orth) == pytest.approx(1.0, abs=1e-14)
+    for _ in range(50):
+        w = next(dirs)
+        assert abs(np.vdot(w, xhat).imag) < 1e-14
+        assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_scan_directions_draw_only_what_is_taken():
+    x = unit_signal(6, RngStream(78, 1))
+    gen = RngStream(79, 1).generator()
+    dirs = _scan_directions(x, gen)
+    next(dirs), next(dirs)
+    # the two structured directions leave gen where it was
+    assert gen.random() == RngStream(79, 1).generator().random()

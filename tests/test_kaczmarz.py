@@ -466,7 +466,6 @@ def test_run_linear_rejects_mismatched_truth():
                        RngStream(71, 0), truth=truth)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("track", [True, False])
 def test_runs_raise_on_non_finite_iterate_naming_step_and_row(monkeypatch, track):
     monkeypatch.setattr(kaczmarz, "_TRACK_BUFFER_BYTES", 16 * 8 * 5)  # several flushes

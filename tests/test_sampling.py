@@ -12,7 +12,7 @@ from kaczpr import (
 )
 from kaczpr.geometry import _rows_per_block
 from kaczpr.rng import _PHASE_SLICE, _positioned, complex_standard_normal
-from kaczpr.sampling import _BLOCK_BYTES
+from kaczpr.sampling import _BLOCK_BYTES, _unit_draw
 
 # frozen outputs of the documented generator; a change here is a breaking
 # change to every recorded experiment
@@ -210,3 +210,51 @@ def test_measurements_reject_negative_values():
         Measurements(values=np.array([1.0, -0.5]))
     with pytest.raises(ValueError):
         Measurements(values=np.array([np.inf]))
+
+
+def _zeros_first(monkeypatch, module, n):
+    """Patch module.complex_standard_normal to give zeros, drawing nothing, on its
+    first call for n entries."""
+    real = module.complex_standard_normal
+    zeroed = []
+
+    def draw(k, gen):
+        if k == n and not zeroed:
+            zeroed.append(k)
+            return np.zeros(k, dtype=np.complex128)
+        return real(k, gen)
+
+    monkeypatch.setattr(module, "complex_standard_normal", draw)
+    return zeroed
+
+
+def test_unit_draw_redraws_a_zero_draw(monkeypatch):
+    import kaczpr.sampling as sampling
+
+    expected = _unit_draw(5, RngStream(81, 0).generator(), scale=3.0)
+    zeroed = _zeros_first(monkeypatch, sampling, 5)
+    np.testing.assert_array_equal(_unit_draw(5, RngStream(81, 0).generator(), scale=3.0), expected)
+    assert zeroed == [5]
+    # a projection that zeroes the draw is also drawn again
+    gen = RngStream(81, 0).generator()
+    calls = []
+
+    def project(u):
+        calls.append(u)
+        return u * 0.0 if len(calls) == 1 else u
+
+    w = _unit_draw(5, gen, project)
+    assert len(calls) == 2
+    np.testing.assert_array_equal(w, calls[1] / np.linalg.norm(calls[1]))
+
+
+def test_scan_products_redraw_a_zero_signal(monkeypatch):
+    import kaczpr.sampling as sampling
+    from kaczpr.verify import _scan_products
+
+    expected = _scan_products(4, 32, 6, RngStream(82, 0))
+    zeroed = _zeros_first(monkeypatch, sampling, 4)
+    got = _scan_products(4, 32, 6, RngStream(82, 0))
+    assert zeroed == [4]
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)

@@ -189,7 +189,6 @@ def margin_row_bounds(ensemble: Ensemble, x, z, alpha: float = 12.0):
 class RscSample:
     """Curvature margin at one point z relative to the signal."""
 
-    z: np.ndarray
     h_norm: float
     f_value: float
     directional: float
@@ -234,7 +233,6 @@ def rsc_margin(ensemble: Ensemble, x, z) -> RscSample:
             f"derivative-loss gap mismatch: direct {gap_direct!r} vs row sum {gap_rows!r}"
         )
     return RscSample(
-        z=z,
         h_norm=h_norm,
         f_value=f,
         directional=d,

@@ -3,11 +3,11 @@
 Subcommands: solve | rsc-scan | verify | baseline.  Every run is a pure
 function of its resolved configuration; all randomness flows from --seed
 through per-trial streams (stream_id = trial index) and purpose substreams.
-Value precedence is CLI flag > KACZPR_* environment variable > --config
-JSON > _OPTIONS.  A run (a command, verify and a lemma, or a solver and its
---init) rejects a flag or config key that its rows of _OPTIONS do not name,
-and ignores such a KACZPR_* variable.  Serial and threaded runs give identical
-bytes: workers are deterministic per trial and aggregation is in trial order.
+Value precedence is CLI flag > --config JSON > _OPTIONS.  A run (a
+command, verify and a lemma, or a solver and its --init) rejects a flag or
+config key that its rows of _OPTIONS do not name.  Serial and threaded runs
+give identical bytes: workers are deterministic per trial and aggregation is
+in trial order.
 
 Artifacts are plot-ready CSVs plus JSON sidecars; each sidecar embeds the
 seed, the generator identifier, and a hash of the resolved configuration,
@@ -24,7 +24,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 import tempfile
@@ -44,12 +43,11 @@ from .initializers import (
     planted_init,
     spectral_init,
 )
-from .kaczmarz import SolverConfig, SolverTrace, _write_csv, run_linear, run_pr
+from .kaczmarz import SolverConfig, SolverTrace, _write_csv, _write_json, run_linear, run_pr
 from .rng import GENERATOR_ID, RngStream
 from .sampling import Model, _unit_draw, make_ensemble, measure
 
 SCHEMA_VERSION = 1
-ENV_PREFIX = "KACZPR_"
 
 # purpose tags for per-trial substreams
 TAG_ENSEMBLE = 1
@@ -160,10 +158,10 @@ _CONVERTERS = {
 
 
 class _Option(NamedTuple):
-    """One setting: the runs that read it from its flag, its KACZPR_* variable
-    or its config key, its default, which every other run keeps, and its range."""
+    """One setting: the runs that read it from its flag or its config key, its
+    default, which every other run keeps, and its range."""
 
-    key: str  # the ExperimentConfig field, the config key and the variable's suffix
+    key: str  # the ExperimentConfig field and the config key
     kind: type  # int, float, bool or str
     flag: str
     runs: tuple  # the runs that read the key; "solve --init planted" names a run and its start
@@ -274,10 +272,6 @@ def _finite_or_none(value: float) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
 def _sidecar_base(cfg: ExperimentConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -326,16 +320,8 @@ def _write_trace(cfg: ExperimentConfig, t: int, trace: SolverTrace, config_hash:
     """Write trial t's trace_NNNN.csv and its .json sidecar."""
     stem = Path(cfg.out_dir) / f"trace_{t:04d}"
     trace.to_csv(stem.with_suffix(".csv"))
-    doc = trace.sidecar()
-    doc.update(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "config_hash": config_hash,
-            "root_seed": cfg.seed,
-            "trial": t,
-        }
-    )
-    _write_json(stem.with_suffix(".json"), doc)
+    trace.to_sidecar_json(stem.with_suffix(".json"), schema_version=SCHEMA_VERSION,
+                          config_hash=config_hash, root_seed=cfg.seed, trial=t)
 
 
 @functools.cache
@@ -695,10 +681,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(command: str, cli_values: dict, config_path: str | None) -> ExperimentConfig:
     """The config of one run: each key it takes from its flag, else its
-    variable, else its config key, else _OPTIONS; other keys at their default.
-    init comes first: solve and baseline also take the rows of their start.
-    A flag or config key the run does not take raises; such a variable is
-    ignored.  m and max_iters are derived from n."""
+    config key, else _OPTIONS; other keys at their default.  init comes
+    first: solve and baseline also take the rows of their start.  A flag or
+    config key the run does not take raises.  m and max_iters are derived
+    from n."""
     lemma = cli_values.get("lemma") or ""
     run = f"{command} {lemma}".rstrip()
     loaded = json.loads(Path(config_path).read_text()) if config_path else {}
@@ -712,16 +698,16 @@ def resolve_config(command: str, cli_values: dict, config_path: str | None) -> E
             raise ValueError(f"config key {key!r} is null; give a value or leave it out")
     values, provided = {}, set()
     for opt in sorted(_OPTIONS, key=lambda opt: opt.key != "init"):
-        key, name = opt.key, ENV_PREFIX + opt.key.upper()
+        key = opt.key
         at = f"{run} --init {values.get('init')}" if run in _BY_KEY["init"].runs else run
         takes = run in opt.runs or at in opt.runs
         values[key] = _for_run(opt.default, run)
         for raw, source in ((loaded.get(key), f"config key {key!r}"),
-                            (os.environ.get(name), name), (cli_values.get(key), opt.flag)):
+                            (cli_values.get(key), opt.flag)):
             if raw is not None and takes:
                 values[key] = opt.coerce(raw, source)
                 provided.add(key)
-            elif raw is not None and source != name:  # variables carry across runs
+            elif raw is not None:
                 raise ValueError(f"{source} is not an option of {at}")
 
     # an explicit m wins; an explicit m_over_n beats a command's default m

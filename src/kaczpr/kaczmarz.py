@@ -75,6 +75,10 @@ def _write_csv(path, header: str, columns, tail: str = "") -> None:
         fh.write(tail)
 
 
+def _write_json(path, doc: dict) -> None:
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
 @dataclass
 class SolverTrace:
     """Per-iteration record of one run.
@@ -116,8 +120,9 @@ class SolverTrace:
         doc.update(self.meta)
         return doc
 
-    def to_sidecar_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.sidecar(), sort_keys=True) + "\n")
+    def to_sidecar_json(self, path, **stamp) -> None:
+        """Write the sidecar, with the keys of `stamp` added, as JSON."""
+        _write_json(path, {**self.sidecar(), **stamp})
 
 
 def select_rows(ensemble: Ensemble, rng: RngStream, count: int) -> np.ndarray:

@@ -158,6 +158,18 @@ def _in_threads(work, jobs: list) -> None:
         raise errors[0]
 
 
+def _integrand(kind: str, lam: float, xs_x: np.ndarray, xs_h: np.ndarray) -> np.ndarray:
+    """The F or the G integrand at the products xi^* x and xi^* h, which broadcast."""
+    if kind == "F":
+        mags = np.abs(xs_x)
+        with np.errstate(over="ignore"):  # lam * mags = inf still compares right
+            keep = lam * mags >= np.abs(xs_h)
+        safe = np.where(mags > 0.0, mags, 1.0)
+        return np.where(keep & (mags > 0.0), (xs_h.conj() * xs_x).real ** 2 / safe**2, 0.0)
+    abs_h = np.abs(xs_h)
+    return abs_h**2 * (np.abs(xs_x) <= lam * abs_h)
+
+
 def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mode: str, dim: int):
     """Streaming mean/variance of the F or G integrand.
 
@@ -210,24 +222,13 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
                 b = normals(gens[2], gens[3], xi2, hi - lo)
                 phi = 2.0 * np.pi * gens[4].random(out=phase[: hi - lo])
                 xs_x = sigma * a.conj() + tau * np.exp(1j * phi) * b.conj()  # xi^* x
-                hs_xi = a            # h^* xi
-                xs_h = hs_xi.conj()  # xi^* h
+                xs_h = np.conjugate(a, out=b)  # xi^* h = a^*, in the buffer b is done with
             else:
                 xi = normals(gens[0], gens[1], xi1, (hi - lo) * dim).reshape(hi - lo, dim)
                 rows = xi.conj()
                 xs_x = rows @ x
                 xs_h = rows @ h
-                hs_xi = xs_h.conj()
-            if kind == "F":
-                mags = np.abs(xs_x)
-                with np.errstate(over="ignore"):  # lam * mags = inf still compares right
-                    keep = lam * mags >= np.abs(xs_h)
-                safe = np.where(mags > 0.0, mags, 1.0)
-                vals[lo:hi] = np.where(
-                    keep & (mags > 0.0), (hs_xi * xs_x).real ** 2 / safe**2, 0.0
-                )
-            else:
-                vals[lo:hi] = np.abs(xs_h) ** 2 * (np.abs(xs_x) <= lam * np.abs(xs_h))
+            vals[lo:hi] = _integrand(kind, lam, xs_x, xs_h)
 
     cores = min(_usable_cores(), _MAX_WORKERS)
     state = gen.bit_generator.state
@@ -435,14 +436,8 @@ def check_restricted_ratio(
     if params.lam < 3.0:
         raise ValueError("restricted ratio regime requires lam >= 3")
     Q, H = _scan_products(n, m, h_samples, rng)
-    q = np.abs(Q)
-    safe_q = np.where(q > 0.0, q, 1.0)
-    keep = params.lam * q[:, None] >= np.abs(H)
-    cross = (H.conj() * Q[:, None]).real
-    vals = np.where(keep & (q[:, None] > 0.0), cross**2 / safe_q[:, None] ** 2, 0.0)
-    sums = vals.mean(axis=0)
-    # clamped as in lower_bound_f, so that a huge lam cannot overflow the square
-    bound = (0.375 - 1.0 / (1.0 + 0.99 * min(params.lam, 1e150)) ** 2 - params.delta) / n
+    sums = _integrand("F", params.lam, Q[:, None], H).mean(axis=0)
+    bound = (lower_bound_f(0.99 * params.lam) - params.delta) / n
     return _report("restricted_ratio", float(sums.min()), 0.0, bound, Direction.AT_LEAST, h_samples)
 
 
@@ -464,10 +459,7 @@ def check_truncated_moment(
     if not 0.0 < params.lam <= 0.4:
         raise ValueError("truncated moment regime requires 0 < lam <= 0.4")
     Q, H = _scan_products(n, m, h_samples, rng)
-    q = np.abs(Q)
-    absH = np.abs(H)
-    vals = np.where(q[:, None] <= params.lam * absH, absH**2, 0.0)
-    sums = vals.mean(axis=0)
+    sums = _integrand("G", params.lam, Q[:, None], H).mean(axis=0)
     l2 = params.lam**2
     bound = (2.0 * l2 / (l2 + 0.99) + params.delta) / n
     return _report("truncated_moment", float(sums.max()), 0.0, bound, Direction.AT_MOST, h_samples)

@@ -9,7 +9,6 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -97,17 +96,13 @@ def test_solve_radius_guard(tmp_path):
             resolve_config("solve", {"delta": delta, "planted_radius": radius}, None)
 
 
-def test_config_file_and_env_precedence(tmp_path, monkeypatch):
+def test_config_file_and_env_precedence(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1}))
-    monkeypatch.setenv("KACZPR_SEED", "2")
     cfg = resolve_config("solve", {"trials": 3}, str(cfg_file))
     assert cfg.n == 8  # from file
-    assert cfg.seed == 2  # env beats file
-    assert cfg.trials == 3  # CLI beats env and file
-    monkeypatch.delenv("KACZPR_SEED")
-    cfg = resolve_config("solve", {}, str(cfg_file))
-    assert cfg.seed == 1
+    assert cfg.seed == 1  # file beats default
+    assert cfg.trials == 3  # CLI beats file
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -736,15 +731,12 @@ _M_CASES = [("m", "--m", "0"), ("m", "--m", "-3"),
             ("m_over_n", "--m-over-n", "0"), ("m_over_n", "--m-over-n", "-2")]
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key, flag, value", _M_CASES)
-def test_nonpositive_m_is_rejected_from_every_source(tmp_path, monkeypatch, capsys,
-                                                     source, key, flag, value):
+def test_nonpositive_m_is_rejected_from_every_source(tmp_path, capsys, source, key, flag, value):
     args = ["solve", "--n", "8", "--trials", "1", "--max-iters", "5"]
     if source == "flag":
         args += [flag, value]
-    elif source == "env":
-        monkeypatch.setenv("KACZPR_" + key.upper(), value)
     else:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({key: int(value)}))
@@ -897,22 +889,13 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "--config must hold a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, value, kind", [
-    ("KACZPR_SEED", "x", "an integer"), ("KACZPR_CHECK", "maybe", "a boolean"),
-])
-def test_env_value_that_fails_to_coerce_names_the_variable(tmp_path, monkeypatch, capsys,
-                                                           name, value, kind):
-    monkeypatch.setenv(name, value)
-    assert run_cli(["solve", "--n", "8", "--trials", "1", "--out", str(tmp_path / "o")]) == 2
-    assert f"{name} must be {kind}, got {value!r}" in capsys.readouterr().err
-
-
-def test_boolean_spellings_from_config_and_environment(monkeypatch):
+def test_boolean_spellings_from_config_and_environment(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
     for text, expected in [("1", True), ("TRUE", True), ("yes", True), ("on", True),
                            ("", False), ("0", False), ("False", False), ("no", False),
                            ("off", False)]:
-        monkeypatch.setenv("KACZPR_CHECK", text)
-        assert resolve_config("solve", {}, None).check is expected
+        cfg_file.write_text(json.dumps({"check": text}))
+        assert resolve_config("solve", {}, str(cfg_file)).check is expected
 
 
 # valid configs resolve to the hashes they had before key-by-key validation; here
@@ -1007,13 +990,11 @@ def test_each_run_takes_the_options_of_its_row():
     taken = {run: {opt.key for opt in _OPTIONS if named[run] & set(opt.runs)} for run in _TAKES}
     assert taken == {run: keys | {"seed", "out_dir"} for run, keys in _TAKES.items()}
     assert {run for opt in _OPTIONS for run in opt.runs} <= set().union(*named.values())
-    # settable (run, option) pairs, from a flag, a config file or a variable alike
+    # settable (run, option) pairs, from a flag or a config file alike
     assert sum(len(keys) for keys in taken.values()) == 101
 
 
-def test_every_run_resolves_at_its_defaults(monkeypatch):
-    for name in [name for name in os.environ if name.startswith("KACZPR_")]:
-        monkeypatch.delenv(name)
+def test_every_run_resolves_at_its_defaults():
     for run in _TAKES:
         cfg = _resolve_run(run.split())
         assert _STARTS.get(run, run) in (f"{cfg.command} {cfg.lemma}".rstrip(),
@@ -1028,24 +1009,19 @@ def _flag_args(key, value):
 
 @pytest.mark.parametrize("run", sorted(_TAKES))
 @pytest.mark.parametrize("key", sorted(_TAKEN_VALUES))
-def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, capsys, run, key):
+def test_each_source_obeys_which_run_takes_which_key(tmp_path, capsys, run, key):
     from kaczpr.cli import _FLAGS
 
     base_args = run.split()
     value = _RUN_VALUES.get((run, key), _TAKEN_VALUES[key])
     if key == "init" and "--init" in base_args:  # the start is the value that each source sets
         base_args, value = base_args[:-2], base_args[-1]
-    for name in [name for name in os.environ if name.startswith("KACZPR_")]:
-        monkeypatch.delenv(name)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({key: value}))
-    variable = "KACZPR_" + key.upper()
     if key in _TAKES[run] | {"seed", "out_dir"}:
         from_flag = _resolve_run([*base_args, *_flag_args(key, value)])
         from_config = _resolve_run(base_args, str(cfg_file))
-        monkeypatch.setenv(variable, "true" if value is True else _text(value))
-        from_env = _resolve_run(base_args)
-        assert from_flag == from_config == from_env
+        assert from_flag == from_config
         if key == "m_over_n":
             assert from_flag.m == value * from_flag.n
         else:
@@ -1058,10 +1034,24 @@ def test_each_source_obeys_which_run_takes_which_key(tmp_path, monkeypatch, caps
     assert _exit_code([*base_args, "--config", str(cfg_file), "--out", str(out)]) == 2
     assert f"config key {key!r} is not an option of {named}\n" in capsys.readouterr().err
     assert not out.exists()
-    # a variable is neither read nor checked: "x" parses as no number and no choice
-    default = config_hash(_resolve_run(base_args))
-    monkeypatch.setenv(variable, "x")
-    assert config_hash(_resolve_run(base_args)) == default
+
+
+def test_kaczpr_variables_do_not_configure_a_run(tmp_path, monkeypatch, capsys):
+    from kaczpr.cli import _OPTIONS
+
+    unset = {run: _resolve_run(run.split()) for run in _TAKES}
+    toy = ["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "20", "--serial"]
+    assert run_cli([*toy, "--out", str(tmp_path / "unset")]) == 0
+    unset_streams = capsys.readouterr()
+    # a variable for every key: a switch set to no boolean, every other key to
+    # a value its flag would take or to text that parses as no value at all
+    for i, opt in enumerate(_OPTIONS):
+        text = "maybe" if opt.kind is bool else "x" if i % 2 else _text(_TAKEN_VALUES[opt.key])
+        monkeypatch.setenv("KACZPR_" + opt.key.upper(), text)
+    assert {run: _resolve_run(run.split()) for run in _TAKES} == unset
+    assert run_cli([*toy, "--out", str(tmp_path / "set")]) == 0
+    assert capsys.readouterr() == unset_streams
+    assert _sha256_listing(tmp_path / "set") == _sha256_listing(tmp_path / "unset")
 
 
 def test_a_flag_no_run_takes_is_rejected_under_the_commands_usage(capsys):
@@ -1113,47 +1103,44 @@ def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc
 # Rejections that once came late (after --out was made), named an internal
 # field or no flag at all, or never came: an out-of-range value from any
 # source must exit 2 and name its flag before anything is written.
-@pytest.mark.parametrize("args, env, doc, flag", [
-    pytest.param(["solve"], {"KACZPR_INIT": "zero"}, {}, "--init", id="args0-env0-doc0---init"),
-    pytest.param(["baseline"], {}, {"init": "spectral"}, "--init", id="args1-env1-doc1---init"),
-    pytest.param(["solve"], {}, {"planted_radius": float("nan")}, "--radius",
+@pytest.mark.parametrize("args, doc, flag", [
+    pytest.param(["solve"], {"init": "zero"}, "--init", id="args0-env0-doc0---init"),
+    pytest.param(["baseline"], {"init": "spectral"}, "--init", id="args1-env1-doc1---init"),
+    pytest.param(["solve"], {"planted_radius": float("nan")}, "--radius",
                  id="args2-env2-doc2---radius"),
-    pytest.param(["solve", "--ball", "nan"], {}, {}, "--ball", id="args3-env3-doc3---ball"),
-    pytest.param(["solve", "--ball", "2"], {}, {}, "--ball", id="args4-env4-doc4---ball"),
-    pytest.param(["rsc-scan", "--ball", "nan"], {}, {}, "--ball", id="args5-env5-doc5---ball"),
-    pytest.param(["verify", "F", "--lambda", "inf"], {}, {}, "--lambda",
+    pytest.param(["solve", "--ball", "nan"], {}, "--ball", id="args3-env3-doc3---ball"),
+    pytest.param(["solve", "--ball", "2"], {}, "--ball", id="args4-env4-doc4---ball"),
+    pytest.param(["rsc-scan", "--ball", "nan"], {}, "--ball", id="args5-env5-doc5---ball"),
+    pytest.param(["verify", "F", "--lambda", "inf"], {}, "--lambda",
                  id="args6-env6-doc6---lambda"),
-    pytest.param(["solve", "--n", "0"], {}, {}, "--n", id="args7-env7-doc7---n"),
-    pytest.param(["solve", "--max-iters", "-1"], {}, {}, "--max-iters",
+    pytest.param(["solve", "--n", "0"], {}, "--n", id="args7-env7-doc7---n"),
+    pytest.param(["solve", "--max-iters", "-1"], {}, "--max-iters",
                  id="args8-env8-doc8---max-iters"),
-    pytest.param(["solve", "--seed", "-1"], {}, {}, "--seed", id="args9-env9-doc9---seed"),
-    pytest.param(["verify", "covariance", "--trials", "0"], {}, {}, "--trials",
+    pytest.param(["solve", "--seed", "-1"], {}, "--seed", id="args9-env9-doc9---seed"),
+    pytest.param(["verify", "covariance", "--trials", "0"], {}, "--trials",
                  id="args10-env10-doc10---trials"),
-    pytest.param(["verify", "F", "--samples", "0"], {}, {}, "--samples",
+    pytest.param(["verify", "F", "--samples", "0"], {}, "--samples",
                  id="args11-env11-doc11---samples"),
-    pytest.param(["verify", "G", "--lambda", "0.4", "--samples", "0"], {}, {}, "--samples",
+    pytest.param(["verify", "G", "--lambda", "0.4", "--samples", "0"], {}, "--samples",
                  id="args12-env12-doc12---samples"),
-    pytest.param(["verify", "restricted-ratio", "--h-samples", "-1"], {}, {}, "--h-samples",
+    pytest.param(["verify", "restricted-ratio", "--h-samples", "-1"], {}, "--h-samples",
                  id="args13-env13-doc13---h-samples"),
-    pytest.param(["verify", "truncated-moment", "--lambda", "0.4", "--h-samples", "0"], {}, {},
+    pytest.param(["verify", "truncated-moment", "--lambda", "0.4", "--h-samples", "0"], {},
                  "--h-samples", id="args14-env14-doc14---h-samples"),
-    pytest.param(["baseline", "--trials", "0"], {}, {}, "--trials",
+    pytest.param(["baseline", "--trials", "0"], {}, "--trials",
                  id="args15-env15-doc15---trials"),
-    pytest.param(["solve"], {"KACZPR_MODEL": "foo"}, {}, "--model",
-                 id="args16-env16-doc16---model"),
-    pytest.param(["solve", "--trials", "0"], {}, {}, "--trials", id="args17-env17-doc17---trials"),
-    pytest.param(["verify", "restricted-ratio", "--h-samples", "0"], {}, {}, "--h-samples",
+    pytest.param(["solve"], {"model": "foo"}, "--model", id="args16-env16-doc16---model"),
+    pytest.param(["solve", "--trials", "0"], {}, "--trials", id="args17-env17-doc17---trials"),
+    pytest.param(["verify", "restricted-ratio", "--h-samples", "0"], {}, "--h-samples",
                  id="args18-env18-doc18---h-samples"),
-    pytest.param(["verify", "F", "--lambda", "2"], {}, {}, "--lambda",
+    pytest.param(["verify", "F", "--lambda", "2"], {}, "--lambda",
                  id="args19-env19-doc19---lambda"),
-    pytest.param(["verify", "restricted-ratio", "--lambda", "2.5"], {}, {}, "--lambda",
+    pytest.param(["verify", "restricted-ratio", "--lambda", "2.5"], {}, "--lambda",
                  id="args20-env20-doc20---lambda"),
-    pytest.param(["verify", "truncated-moment", "--lambda", "0"], {}, {}, "--lambda",
+    pytest.param(["verify", "truncated-moment", "--lambda", "0"], {}, "--lambda",
                  id="args21-env21-doc21---lambda"),
 ])
-def test_out_of_range_values_name_the_flag(tmp_path, monkeypatch, capsys, args, env, doc, flag):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+def test_out_of_range_values_name_the_flag(tmp_path, capsys, args, doc, flag):
     if doc:
         (tmp_path / "cfg.json").write_text(json.dumps(doc))
         args = [*args, "--config", str(tmp_path / "cfg.json")]
@@ -1307,7 +1294,7 @@ def _exit_code(argv):
         return exc.code
 
 
-@pytest.mark.parametrize("source", ["flag", "env", "config"])
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("key, flag, run, bad, good", _RANGES, ids=_RANGE_IDS)
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
@@ -1316,17 +1303,15 @@ def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, run, bad,
     small = list(_SMALL_ARGS[run.split(" --init")[0]])
     if flag in small:
         del small[small.index(flag):small.index(flag) + 2]
-    args, env = [*run.split(), *small], {}
+    args = [*run.split(), *small]
     with tempfile.TemporaryDirectory() as tmp:
         if source == "flag":
             args.append(f"{flag}={_text(value)}")
-        elif source == "env":
-            env["KACZPR_" + key.upper()] = _text(value)
         else:
             Path(tmp, "cfg.json").write_text(json.dumps({key: value}))
             args += ["--config", str(Path(tmp, "cfg.json"))]
         err = io.StringIO()
-        with mock.patch.dict(os.environ, env), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stderr(err):
             code = _exit_code([*args, "--out", str(Path(tmp, "out"))])
         assert code == 2
         assert re.search(rf"{re.escape(flag)}(?![\w-])", err.getvalue())
@@ -1339,12 +1324,10 @@ def test_out_of_range_value_exits_2_naming_the_flag(source, key, flag, run, bad,
 def test_in_range_value_resolves_alike_from_every_source(key, flag, run, bad, good, data):
     value = data.draw(good)
     from_flag = _resolve_run([*run.split(), f"{flag}={_text(value)}"])
-    with mock.patch.dict(os.environ, {"KACZPR_" + key.upper(): _text(value)}):
-        from_env = _resolve_run(run.split())
     with tempfile.TemporaryDirectory() as tmp:
         Path(tmp, "cfg.json").write_text(json.dumps({key: value}))
         from_config = _resolve_run(run.split(), str(Path(tmp, "cfg.json")))
-    assert from_flag == from_env == from_config
+    assert from_flag == from_config
     if key == "m_over_n":
         assert from_flag.m == value * from_flag.n
     else:

@@ -325,6 +325,10 @@ def test_trace_csv_and_sidecar(tmp_path):
     # the step rule is fixed, and every trace sidecar names it
     assert doc["config"] == {"ball_radius_rel": 0.01, "track_distance": True,
                              "selection": "norm_weighted", "zero_residual_policy": "phase_one"}
+    # a stamp adds its keys to the same document
+    trace.to_sidecar_json(tmp_path / "stamped.json", trial=3, root_seed=33)
+    assert json.loads((tmp_path / "stamped.json").read_text()) == {**doc, "trial": 3,
+                                                                    "root_seed": 33}
 
 
 def test_single_step_expected_contraction_bound():

@@ -1,4 +1,3 @@
-import os
 import re
 from pathlib import Path
 
@@ -41,13 +40,11 @@ def test_options_table_lists_the_runs_of_each_flag():
     assert cells == {opt.flag: _runs_cell(opt.runs) for opt in _OPTIONS}
 
 
-def test_command_line_examples_resolve(monkeypatch):
+def test_command_line_examples_resolve():
     import shlex
 
     from kaczpr.cli import _build_parser, resolve_config
 
-    for name in [name for name in os.environ if name.startswith("KACZPR_")]:
-        monkeypatch.delenv(name)
     block = re.search(r"## Command line\n\n```\n(.*?)```", README.read_text(), re.S).group(1)
     lines = [line for line in block.splitlines() if line.startswith("kaczpr ")]
     assert len(lines) == 8

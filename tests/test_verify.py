@@ -302,6 +302,37 @@ def test_check_truncated_moment_domain():
         check_truncated_moment(8, 64, LemmaParams(lam=0.0), 10, RngStream(1, 0))
 
 
+@pytest.mark.parametrize("lam", [3.0, 10.0, 1e300])
+def test_check_restricted_ratio_matches_reference_form_bit_for_bit(lam):
+    from kaczpr.verify import _scan_products
+
+    params = LemmaParams(lam=lam, delta=0.1)
+    for seed in range(3):
+        Q, H = _scan_products(8, 128, 10, RngStream(seed, 0))
+        q = np.abs(Q)
+        safe_q = np.where(q > 0.0, q, 1.0)
+        keep = lam * q[:, None] >= np.abs(H)
+        cross = (H.conj() * Q[:, None]).real
+        vals = np.where(keep & (q[:, None] > 0.0), cross**2 / safe_q[:, None] ** 2, 0.0)
+        bound = (0.375 - 1.0 / (1.0 + 0.99 * min(lam, 1e150)) ** 2 - 0.1) / 8
+        report = check_restricted_ratio(8, 128, params, 10, RngStream(seed, 0))
+        assert report.estimate.hex() == float(vals.mean(axis=0).min()).hex()
+        assert report.bound.hex() == bound.hex()
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.4])
+def test_check_truncated_moment_matches_reference_form_bit_for_bit(lam):
+    from kaczpr.verify import _scan_products
+
+    for seed in range(3):
+        Q, H = _scan_products(8, 128, 10, RngStream(seed, 0))
+        absH = np.abs(H)
+        vals = np.where(np.abs(Q)[:, None] <= lam * absH, absH**2, 0.0)
+        report = check_truncated_moment(8, 128, LemmaParams(lam=lam, delta=0.1), 10,
+                                        RngStream(seed, 0))
+        assert report.estimate.hex() == float(vals.mean(axis=0).max()).hex()
+
+
 def test_lemma_params_validation_and_tau():
     with pytest.raises(ValueError):
         LemmaParams(lam=-1.0)
@@ -454,8 +485,8 @@ def test_mc_scalar_bits_do_not_depend_on_the_core_count(monkeypatch, kind, lam, 
 
 
 def _run_verify(args, preexec_fn=None) -> str:
-    env = {k: v for k, v in os.environ.items() if not k.startswith("KACZPR_")}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-m", "kaczpr.cli", "verify", *args], env=env,
                           capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn)
     assert done.returncode == 0, done.stderr

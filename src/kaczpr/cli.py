@@ -34,7 +34,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from . import analysis
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
 from .initializers import (
     InitConfig,
@@ -557,6 +556,8 @@ def cmd_trials(cfg: ExperimentConfig) -> int:
 
 
 def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
+    from . import analysis  # imported here: only rsc-scan runs load the margin analysis
+
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stream = RngStream(cfg.seed, 0)

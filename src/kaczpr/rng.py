@@ -28,8 +28,9 @@ Philox is counter-based, so a slice of any draw can be read at its own
 stream position without drawing what comes before it (``_positioned``),
 and gives the bits that drawing the whole stream in order gives.  The
 contract above does not change: code that reads slices this way, such as
-the Monte Carlo checks spreading a batch over threads, reproduces the
-serial stream word for word.
+``complex_standard_normal`` reading u2 beside u1 or the Monte Carlo checks
+spreading a batch over threads, reproduces the serial stream word for word.
+Every complex normal is drawn by one routine, ``_draw_normals``.
 """
 
 from __future__ import annotations
@@ -78,9 +79,11 @@ class RngStream:
         return RngStream(mixed, self.stream_id)
 
 
-# Uniforms u2 drawn per slice of complex_standard_normal's output, so that
-# they stay in cache instead of forming a second whole-length array.
-_PHASE_SLICE = 1 << 12
+# Complex normals drawn and transformed per slice, so that their uniforms
+# stay in cache instead of forming whole-length arrays.  A multiple of 4,
+# so that verify's full-mode products keep the whole-batch bits (see
+# geometry._row_blocks).
+_SLICE = 1 << 12
 # 64-bit words in one Philox block: the output of one counter value
 _BLOCK_WORDS = 4
 
@@ -105,12 +108,14 @@ def _positioned(state: dict, words: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
-def _box_muller(radius: np.ndarray, phase: np.ndarray, out: np.ndarray) -> None:
-    """Complex normals into `out` from the uniforms u1 in `radius` and u2 in `phase`.
+def _draw_normals(u1, u2, out: np.ndarray, radius: np.ndarray, phase: np.ndarray) -> None:
+    """len(out) complex normals into `out`, from as many uniforms of generator u1 and of u2.
 
-    The formula's ufuncs in its order, computed in place on arrays of one
-    length; `radius` is overwritten.
+    The uniforms u1 go into the scratch array `radius` and u2 into `phase`,
+    both of len(out); then the formula's ufuncs in its order, in place.
     """
+    u1.random(out=radius)
+    u2.random(out=phase)
     np.negative(radius, out=radius)
     np.log1p(radius, out=radius)
     np.negative(radius, out=radius)
@@ -126,21 +131,17 @@ def complex_standard_normal(n: int, gen: np.random.Generator) -> np.ndarray:
 
     Uses the documented amplitude/phase Box-Muller transform so the output
     depends only on the uniform stream, not on numpy's normal sampler.  The
-    n values u1 come first in the stream, then the n values u2.  u1 is
-    drawn into the back half of the output's own memory, then u2 slice by
-    slice.  Each slice of u1 is copied out before its output slice is
-    written, and output slice [lo, hi) overwrites only u1 values below
-    2 hi - n <= hi, none of a later slice's; so no whole-length uniform
-    array is formed.
+    n values u1 come first in the stream, then the n values u2; past one
+    slice, u2 is read at its own stream position (``_positioned``), so both
+    are drawn slice by slice and no whole-length uniform array is formed.
+    `gen` ends 2n words on.
     """
     out = np.empty(n, dtype=np.complex128)
-    flat = out.view(np.float64)
-    gen.random(out=flat[n:])
-    u1, u2 = np.empty(min(n, _PHASE_SLICE)), np.empty(min(n, _PHASE_SLICE))
-    for lo in range(0, n, _PHASE_SLICE):
-        hi = min(lo + _PHASE_SLICE, n)
-        radius, phase = u1[: hi - lo], u2[: hi - lo]
-        np.copyto(radius, flat[n + lo : n + hi])
-        gen.random(out=phase)
-        _box_muller(radius, phase, out[lo:hi])
+    radius, phase = np.empty(min(n, _SLICE)), np.empty(min(n, _SLICE))
+    u2 = gen if n <= _SLICE else _positioned(gen.bit_generator.state, n)
+    for lo in range(0, n, _SLICE):
+        hi = min(lo + _SLICE, n)
+        _draw_normals(gen, u2, out[lo:hi], radius[: hi - lo], phase[: hi - lo])
+    if u2 is not gen:
+        gen.bit_generator.state = u2.bit_generator.state
     return out

@@ -39,15 +39,12 @@ import numpy as np
 
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
 from .initializers import _scan_directions, real_overlap_direction
-from .rng import RngStream, _box_muller, _positioned
+from .rng import _SLICE, RngStream, _draw_normals, _positioned
 from .sampling import Model, _unit_draw, make_ensemble
 
+# A batch is cut into rng._SLICE-sample slices, each drawn and evaluated in
+# one pass, so that the draws and the temporaries after them stay in cache.
 _BATCH = 1 << 17
-# Samples per slice of a batch, drawn and evaluated in one pass, so that
-# the draws and the temporaries after them stay in cache.  A multiple of 4,
-# so that full mode's products keep the whole-batch bits (see
-# geometry._row_blocks).
-_SLICE = 1 << 12
 # Most workers one batch runs on.  Each holds about 0.5 MiB of slice
 # buffers, so at 8 a 2^17-sample batch stays below the 6.48 MiB that the
 # whole-batch draws it replaced held, whatever the core count.
@@ -175,12 +172,13 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
 
     Each batch of up to _BATCH samples is cut into _SLICE-sample slices,
     and its contiguous runs of slices go to min(usable cores, slices,
-    _MAX_WORKERS) workers.  A worker draws each slice at its own Philox
-    position into its own slice buffers, so no whole-batch draw exists, and
-    the batch's values and their in-order sums keep the bits of drawing the
-    batch serially.  A batch's stream holds, chunk words each, xi1's u1 and u2,
-    xi2's u1 and u2 and the phase uniforms in reduced mode, and u1 and u2
-    of the chunk x dim entries in full mode.
+    _MAX_WORKERS) workers.  A worker draws each slice's normals at their own
+    Philox positions through ``rng._draw_normals``, into its own slice
+    buffers, so no whole-batch draw exists, and the batch's values and
+    their in-order sums keep the bits of drawing the batch serially.  A
+    batch's stream holds, chunk words each, xi1's u1 and u2, xi2's u1 and
+    u2 and the phase uniforms in reduced mode, and u1 and u2 of the
+    chunk x dim entries in full mode.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -209,23 +207,18 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
         radius, phase = np.empty(size), np.empty(size)
         xi1 = np.empty(size, dtype=np.complex128)
         xi2 = np.empty(size, dtype=np.complex128) if mode == "reduced" else None
-
-        def normals(u1, u2, out, width):
-            u1.random(out=radius[:width])
-            u2.random(out=phase[:width])
-            _box_muller(radius[:width], phase[:width], out[:width])
-            return out[:width]
-
         for lo, hi in blocks:
+            width = (hi - lo) * per
             if mode == "reduced":
-                a = normals(gens[0], gens[1], xi1, hi - lo)
-                b = normals(gens[2], gens[3], xi2, hi - lo)
-                phi = 2.0 * np.pi * gens[4].random(out=phase[: hi - lo])
+                a, b = xi1[:width], xi2[:width]
+                _draw_normals(gens[0], gens[1], a, radius[:width], phase[:width])
+                _draw_normals(gens[2], gens[3], b, radius[:width], phase[:width])
+                phi = 2.0 * np.pi * gens[4].random(out=phase[:width])
                 xs_x = sigma * a.conj() + tau * np.exp(1j * phi) * b.conj()  # xi^* x
                 xs_h = np.conjugate(a, out=b)  # xi^* h = a^*, in the buffer b is done with
             else:
-                xi = normals(gens[0], gens[1], xi1, (hi - lo) * dim).reshape(hi - lo, dim)
-                rows = xi.conj()
+                _draw_normals(gens[0], gens[1], xi1[:width], radius[:width], phase[:width])
+                rows = xi1[:width].reshape(hi - lo, dim).conj()
                 xs_x = rows @ x
                 xs_h = rows @ h
             vals[lo:hi] = _integrand(kind, lam, xs_x, xs_h)

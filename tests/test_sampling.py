@@ -11,7 +11,7 @@ from kaczpr import (
     sample_unit_sphere,
 )
 from kaczpr.geometry import _rows_per_block
-from kaczpr.rng import _PHASE_SLICE, _positioned, complex_standard_normal
+from kaczpr.rng import _SLICE, _positioned, complex_standard_normal
 from kaczpr.sampling import _BLOCK_BYTES, _unit_draw
 
 # frozen outputs of the documented generator; a change here is a breaking
@@ -34,7 +34,7 @@ def test_generator_regression_anchor():
 
 
 # the sizes at the edges of the slices that u2 is drawn in
-_EDGES = [_PHASE_SLICE - 1, _PHASE_SLICE, _PHASE_SLICE + 1, 2 * _PHASE_SLICE + 3]
+_EDGES = [_SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 3]
 
 
 @pytest.mark.parametrize("n", [1, 2, 127, 131072, *_EDGES])
@@ -45,8 +45,7 @@ def test_complex_standard_normal_is_the_documented_formula_bit_for_bit(n):
     np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("n", [1, _PHASE_SLICE - 1, _PHASE_SLICE, _PHASE_SLICE + 1,
-                               3 * _PHASE_SLICE + 1])
+@pytest.mark.parametrize("n", [1, _SLICE - 1, _SLICE, _SLICE + 1, 3 * _SLICE + 1])
 @pytest.mark.parametrize("skip", [1, 3, 7])
 def test_complex_standard_normal_from_an_advanced_generator_leaves_it_at_word_2n(n, skip):
     # an odd number of words already read: u1 starts inside a Philox block

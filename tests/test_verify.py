@@ -439,21 +439,21 @@ def test_mc_scalar_peak_is_capped_on_many_cores(monkeypatch):
     monkeypatch.setattr(verify, "_usable_cores", lambda: 64)
     # every worker holds its slice buffers at once, as on a host with that
     # many free cores: each waits at its first transform for all the others
-    run_jobs, box_muller = verify._in_threads, verify._box_muller
+    run_jobs, draw_normals = verify._in_threads, verify._draw_normals
     meeting = {}
 
     def in_threads(work, jobs):
         meeting.update(barrier=threading.Barrier(len(jobs)), met=set())
         run_jobs(work, jobs)
 
-    def waiting_box_muller(*args):
+    def waiting_draw_normals(*args):
         if threading.get_ident() not in meeting["met"]:
             meeting["met"].add(threading.get_ident())
             meeting["barrier"].wait(timeout=60)
-        return box_muller(*args)
+        return draw_normals(*args)
 
     monkeypatch.setattr(verify, "_in_threads", in_threads)
-    monkeypatch.setattr(verify, "_box_muller", waiting_box_muller)
+    monkeypatch.setattr(verify, "_draw_normals", waiting_draw_normals)
     call = lambda: mc_F(LemmaParams(lam=3.0, sigma=0.6), 1 << 17, RngStream(208, 0))
     call()  # one-time allocations stay out of the measured call
     tracemalloc.start()

@@ -42,7 +42,7 @@ from .initializers import (
     planted_init,
     spectral_init,
 )
-from .kaczmarz import SolverConfig, SolverTrace, _write_csv, _write_json, run_linear, run_pr
+from .kaczmarz import SolverConfig, SolverTrace, _write_json, run_linear, run_pr
 from .rng import GENERATOR_ID, RngStream
 from .sampling import Model, _unit_draw, make_ensemble, measure
 
@@ -490,8 +490,10 @@ def _aggregate(cfg: ExperimentConfig, stops: np.ndarray, spill, out: Path) -> di
     # stops[t] <= k holds for a count of trials that grows with k
     frac_exited_by_k = np.cumsum(np.bincount(stops, minlength=k_len + 1)[:k_len]) / cfg.trials
 
-    _write_csv(out / "aggregate.csv", "k,mean_dist2,median_dist,frac_exited",
-               (mean_d2, median_d, frac_exited_by_k))
+    from ._csv import write_csv  # imported here, so that set-up does not compile the writer
+
+    write_csv(out / "aggregate.csv", "k,mean_dist2,median_dist,frac_exited",
+              (mean_d2, median_d, frac_exited_by_k))
 
     summary = _sidecar_base(cfg)
     summary.update(
@@ -557,6 +559,7 @@ def cmd_trials(cfg: ExperimentConfig) -> int:
 
 def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
     from . import analysis  # imported here: only rsc-scan runs load the margin analysis
+    from ._csv import write_csv
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -572,7 +575,7 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
         z = x + radius * xnorm * direction
         sample = analysis.rsc_margin(ensemble, x, z)
         values[:, s] = sample.h_norm, sample.f_value, sample.directional, sample.margin_gamma
-    _write_csv(out / "rsc_scan.csv", "sample_id,h_norm,f,D,gamma_hat", values)
+    write_csv(out / "rsc_scan.csv", "sample_id,h_norm,f,D,gamma_hat", values)
     min_gamma = min(values[3].tolist(), default=None)  # a NaN wins only as the first sample
 
     threshold = RATE_MARGIN / cfg.n

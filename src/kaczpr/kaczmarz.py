@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import NoReturn
 
@@ -49,30 +48,6 @@ class SolverConfig:
             raise ValueError("max_iters must be nonnegative")
         if not 0.0 <= self.ball_radius_rel <= 1.0:
             raise ValueError("ball_radius_rel must lie in [0, 1]")
-
-
-# Lines of a CSV formatted per write.
-_CSV_ROWS = 1024
-
-
-def _write_csv(path, header: str, columns, tail: str = "") -> None:
-    """Write `header`, one line `i,c[i],...` per row i, then `tail`.
-
-    The first column sets the row count; a longer column is cut.  An array
-    column is written as the repr of its values (str.format of a Python
-    float or int with no spec is its repr) and a None column as empty
-    fields.  The text is built _CSV_ROWS lines at a time, so that no string
-    object per line of the whole table is alive at once.
-    """
-    rows = len(columns[0])
-    line = ",".join(["{}"] * (len(columns) + 1)) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, rows, _CSV_ROWS):
-            hi = min(lo + _CSV_ROWS, rows)
-            fields = (repeat("", hi - lo) if c is None else c[lo:hi].tolist() for c in columns)
-            fh.write("".join(map(line.format, range(lo, hi), *fields)))
-        fh.write(tail)
 
 
 def _write_json(path, doc: dict) -> None:
@@ -105,10 +80,11 @@ class SolverTrace:
 
     def to_csv(self, path) -> None:
         """Write `k,i_k,dist,abs_az`, one row per iteration plus the final state."""
-        k_max = self.iterations
-        last = "" if self.dist is None else repr(self.dist[k_max].item())
-        _write_csv(path, "k,i_k,dist,abs_az", (self.rows, self.dist, self.abs_az),
-                   f"{k_max},-1,{last},\n")
+        # imported here, so that set-up does not compile the writer
+        from ._csv import write_csv
+
+        # the final state's row has i_k = -1 and no abs_az
+        write_csv(path, "k,i_k,dist,abs_az", (np.append(self.rows, -1), self.dist, self.abs_az))
 
     def sidecar(self) -> dict:
         doc = {

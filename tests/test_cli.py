@@ -412,8 +412,8 @@ def test_pool_is_sized_by_threads_and_trials(tmp_path, monkeypatch, threads, tri
 
 @pytest.mark.parametrize("samples", [0, 1, 3])
 def test_rsc_scan_csv_bytes_match_per_line_writer(tmp_path, monkeypatch, samples):
+    import kaczpr._csv as _csv
     import kaczpr.analysis as analysis
-    import kaczpr.kaczmarz as kaczmarz
 
     real_margin, margins = analysis.rsc_margin, []
 
@@ -422,7 +422,7 @@ def test_rsc_scan_csv_bytes_match_per_line_writer(tmp_path, monkeypatch, samples
         return margins[-1]
 
     monkeypatch.setattr(analysis, "rsc_margin", rsc_margin)
-    monkeypatch.setattr(kaczmarz, "_CSV_ROWS", 2)  # 3 samples cross a slice edge
+    monkeypatch.setattr(_csv, "_CHUNK_ROWS", 2)  # 3 samples cross a pass edge
     out = tmp_path / "scan"
     assert run_cli(["rsc-scan", "--n", "16", "--m", "256", "--samples", str(samples),
                     "--seed", "4", "--out", str(out)]) == 0
@@ -447,10 +447,10 @@ def _aggregate_rows(monkeypatch, cfg, dists, stops) -> int:
 
 def test_aggregate_csv_bytes_match_per_line_writer(tmp_path, monkeypatch):
     from kaczpr.cli import _trial
-    from kaczpr.kaczmarz import _CSV_ROWS
+    from kaczpr._csv import _CHUNK_ROWS
 
-    # 41 rows, and row counts at the edges of the slices the file is written in
-    for k_len in (41, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3):
+    # 41 rows, and row counts at the edges of the passes the file is written in
+    for k_len in (41, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3):
         cfg = resolve_config("solve", {"n": 8, "m": 64, "trials": 3, "max_iters": k_len - 1,
                                        "seed": 5, "out_dir": str(tmp_path)}, None)
         dists = np.stack([_trial(cfg, t).dist for t in range(3)])
@@ -498,6 +498,40 @@ def _matrix_aggregate(cfg, dists, stops) -> tuple[bytes, dict]:
             "floor_dist2": FLOOR_DIST_SQ * cfg.scale**2,
         })
     return ("\n".join(lines) + "\n").encode(), summary
+
+
+@pytest.mark.parametrize("command, scale, max_iters", [
+    ("solve", 1e-150, 300),  # mean_dist2 falls into the subnormals
+    ("solve", 1e150, 300),
+    ("baseline", 1e-150, 300),
+    ("baseline", 1e150, 300),
+    ("solve", 1.0, 0),
+    ("baseline", 1.0, 0),
+])
+def test_cli_csv_bytes_match_per_line_writers_at_extreme_scales(tmp_path, command, scale,
+                                                                 max_iters):
+    from test_kaczmarz import _reference_csv
+
+    from kaczpr.cli import _trial
+
+    keys = {"n": 8, "m": 64, "trials": 3, "max_iters": max_iters, "seed": 11, "scale": scale}
+    out = tmp_path / "out"
+    args = [command, "--serial", "--out", str(out)]
+    for key, value in keys.items():
+        args += [f"--{key.replace('_', '-')}", str(value)]
+    assert run_cli(args) == 0
+    cfg = resolve_config(command, {**keys, "out_dir": str(out)}, None)
+    traces = [_trial(cfg, t) for t in range(3)]
+    for t, trace in enumerate(traces):
+        assert (out / f"trace_{t:04d}.csv").read_bytes() == _reference_csv(trace)
+    dists = np.stack([trace.dist for trace in traces])
+    want, _ = _matrix_aggregate(cfg, dists, [trace.stopping_time for trace in traces])
+    assert (out / "aggregate.csv").read_bytes() == want
+    if scale == 1e-150 and command == "solve":
+        field = [line.split(",")[1] for line in want.decode().splitlines()[1:]]
+        assert any(0.0 < float(f) < np.finfo(float).tiny for f in field)
+    if scale != 1.0:
+        assert re.search(rb"e[+-]\d{3}", want)  # three-digit exponents
 
 
 @pytest.mark.parametrize("max_iters", [0, 1, 300])

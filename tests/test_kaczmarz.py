@@ -19,7 +19,7 @@ from kaczpr import (
     sample_unit_sphere,
     select_rows,
 )
-from kaczpr import kaczmarz
+from kaczpr import _csv, kaczmarz
 from conftest import unit_signal
 
 GOLDEN_ROWS_9_1 = [0, 7, 1, 4, 2, 6, 0, 2, 4, 5, 7, 3]
@@ -602,8 +602,8 @@ def _reference_csv(trace):
 def test_trace_csv_bytes_match_per_line_writer(tmp_path):
     e, x, z0 = _planted_problem(16, 128, 94)
     b = measure(e, x)
-    # and step counts at the edges of the slices the file is written in
-    rows = kaczmarz._CSV_ROWS
+    # and step counts at the edges of the passes the file is written in
+    rows = _csv._CHUNK_ROWS
     for k_max in (0, 300, rows - 1, rows, rows + 1, 2 * rows):
         for track in (True, False):
             cfg = SolverConfig(max_iters=k_max, track_distance=track)

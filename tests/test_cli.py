@@ -26,6 +26,10 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def _artifact_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
 def test_solve_writes_all_artifacts(tmp_path):
     out = tmp_path / "solve"
     rc = run_cli(
@@ -68,13 +72,32 @@ def test_solve_byte_identical_reruns(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_solve_threads_match_serial(tmp_path):
-    args = ["solve", "--n", "10", "--m", "80", "--trials", "4", "--max-iters", "40", "--seed", "9"]
+@pytest.mark.parametrize("args, threads", [
+    pytest.param(["--n", "10", "--m", "80", "--trials", "4", "--max-iters", "40", "--seed", "9"],
+                 "3", id="threads-above-cores"),
+    pytest.param(["--n", "16", "--trials", "6", "--max-iters", "300", "--init", "planted"],
+                 "2", id="planted"),
+    pytest.param(["--n", "16", "--trials", "6", "--max-iters", "300", "--init", "spectral",
+                  "--ball", "1"], "2", id="spectral"),
+    # an odd trial count whose columns span more than one block
+    pytest.param(["--n", "16", "--trials", "7", "--max-iters", "3000"], "2", id="odd-trials"),
+    # a run of no steps, whose mean is summed pairwise
+    pytest.param(["--n", "8", "--trials", "9", "--max-iters", "0"], "2", id="no-steps"),
+    # 6 of 9 trials exit, so mean_dist2 covers only some of them
+    pytest.param(["--n", "8", "--m-over-n", "4", "--trials", "9", "--max-iters", "400",
+                  "--init", "spectral", "--ball", "0.6"], "2", id="some-trials-exit"),
+])
+def test_solve_threads_match_serial(tmp_path, monkeypatch, args, threads):
+    import kaczpr.cli as cli
+
+    real_pool, sizes = cli._pool, []
+    monkeypatch.setattr(cli, "_pool", lambda workers: sizes.append(workers) or real_pool(workers))
+    monkeypatch.setattr(cli, "_usable_cores", lambda: 2)  # a real pool on a one-core host too
     ser, par = tmp_path / "ser", tmp_path / "par"
-    assert run_cli(args + ["--out", str(ser), "--serial"]) == 0
-    assert run_cli(args + ["--out", str(par), "--threads", "3"]) == 0
-    for name in sorted(p.name for p in ser.iterdir()):
-        assert (ser / name).read_bytes() == (par / name).read_bytes()
+    assert run_cli(["solve", *args, "--out", str(ser), "--serial"]) == 0
+    assert run_cli(["solve", *args, "--out", str(par), "--threads", threads]) == 0
+    assert sizes == [2]
+    assert _artifact_bytes(par) == _artifact_bytes(ser)
 
 
 def test_solve_radius_guard(tmp_path):
@@ -96,7 +119,7 @@ def test_solve_radius_guard(tmp_path):
             resolve_config("solve", {"delta": delta, "planted_radius": radius}, None)
 
 
-def test_config_file_and_env_precedence(tmp_path):
+def test_flag_beats_config_file_beats_default(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"n": 8, "m": 64, "trials": 2, "max_iters": 7, "seed": 1}))
     cfg = resolve_config("solve", {"trials": 3}, str(cfg_file))
@@ -169,6 +192,10 @@ def test_rsc_scan_artifacts_and_assertion(tmp_path):
     assert doc["min_gamma"] >= doc["threshold"]
     gammas = [float(line.split(",")[4]) for line in lines[1:]]
     assert min(gammas) == pytest.approx(doc["min_gamma"], rel=1e-12)
+    small = tmp_path / "small"
+    assert run_cli(["rsc-scan", "--n", "8", "--m", "128", "--samples", "20",
+                    "--out", str(small)]) == 0
+    assert read_json(small / "rsc_scan.json")["passed"]
 
 
 def test_rsc_scan_empty_and_override(tmp_path):
@@ -213,16 +240,28 @@ def test_verify_g_writes_each_ceiling_to_its_own_report(tmp_path, capsys):
     assert read_json(out / "report_G_loose.json") == docs[1]
 
 
+def test_verify_g_at_its_default_sigma_fails_its_closed_ceiling(capsys):
+    # at sigma 0 the true G equals the closed ceiling, so a three-standard-error
+    # certificate cannot pass there; the loose ceiling lies above it
+    assert run_cli(["verify", "G", "--samples", "20000"]) == 1
+    closed, loose = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert closed["name"] == loose["name"] == "G"
+    assert closed["estimate"] == loose["estimate"]
+    assert closed["std_error"] == loose["std_error"]
+    assert not closed["passed"] and loose["passed"]
+    assert closed["estimate"] <= closed["bound"] + 3.0 * closed["std_error"]
+    assert closed["bound"] < loose["bound"]
+
+
 def test_verify_g_domain_error():
     assert run_cli(["verify", "G", "--lambda", "0.9", "--seed", "1"]) == 2
 
 
 def test_verify_covariance_report(capsys):
-    rc = run_cli(["verify", "covariance", "--n", "8", "--m", "512", "--delta", "0.5",
-                  "--trials", "10", "--seed", "6"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out.strip().splitlines()[0])
-    assert doc["name"] == "covariance" and doc["passed"]
+    for args in (["--delta", "0.5", "--trials", "10", "--seed", "6"], ["--trials", "2"]):
+        assert run_cli(["verify", "covariance", "--n", "8", "--m", "512", *args]) == 0
+        doc = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        assert doc["name"] == "covariance" and doc["passed"]
 
 
 def test_verify_scan_subcommands(capsys):
@@ -232,6 +271,9 @@ def test_verify_scan_subcommands(capsys):
     rc = run_cli(["verify", "truncated-moment", "--n", "16", "--m", "1024", "--lambda", "0.4",
                   "--delta", "0.1", "--h-samples", "50", "--seed", "3"])
     assert rc == 0
+    # each lemma at its own defaults
+    for lemma in ("restricted-ratio", "truncated-moment"):
+        assert run_cli(["verify", lemma, "--n", "8", "--m", "128", "--h-samples", "5"]) == 0
     capsys.readouterr()
 
 
@@ -645,10 +687,6 @@ def test_pool_workers_return_only_distances_and_stopping_times(tmp_path, in_proc
         assert (tmp_path / "pool" / f"trace_{t:04d}.json").exists()
 
 
-def _artifact_bytes(out):
-    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-
-
 def test_forkserver_pool_gives_the_serial_bytes(tmp_path, monkeypatch):
     # forkserver is the Linux default start method from Python 3.14; its
     # workers start from a fresh interpreter, not from a copy of this one
@@ -923,7 +961,7 @@ def test_config_must_be_an_object(tmp_path, capsys):
     assert "--config must hold a JSON object" in capsys.readouterr().err
 
 
-def test_boolean_spellings_from_config_and_environment(tmp_path):
+def test_boolean_spellings_from_config(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     for text, expected in [("1", True), ("TRUE", True), ("yes", True), ("on", True),
                            ("", False), ("0", False), ("False", False), ("no", False),
@@ -1095,13 +1133,16 @@ def test_a_flag_no_run_takes_is_rejected_under_the_commands_usage(capsys):
     assert err.endswith("kaczpr rsc-scan: error: unrecognized arguments: --no-such-flag 5\n")
 
 
-def test_a_commands_help_lists_only_the_flags_it_takes(capsys):
+@pytest.mark.parametrize("command", ["solve", "baseline", "rsc-scan", "verify"])
+def test_a_commands_help_lists_only_the_flags_it_takes(capsys, command):
     from kaczpr.cli import _OPTIONS
 
-    assert _exit_code(["rsc-scan", "--help"]) == 0
+    assert _exit_code([command, "--help"]) == 0
     listed = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", capsys.readouterr().out))
+    # a run is the command, alone or with its start or lemma
     assert listed == {"--help", "--config"} | {
-        opt.flag for opt in _OPTIONS if "rsc-scan" in opt.runs}
+        opt.flag for opt in _OPTIONS
+        if any(run == command or run.startswith(command + " ") for run in opt.runs)}
 
 
 # configs that were once valid, though their runs read none of the keys named
@@ -1190,6 +1231,11 @@ def test_out_of_range_values_name_the_flag(tmp_path, capsys, args, doc, flag):
     pytest.param(["baseline", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "5"],
                  "baseline: median error above bound", "median_ok",
                  id="args1-baseline: median error above bound-median_ok"),
+    # a start outside the ball: every trial exits at k = 0
+    pytest.param(["solve", "--n", "8", "--m", "64", "--trials", "2", "--max-iters", "50",
+                  "--radius", "0.0101", "--allow-radius-override"],
+                 "solve: certified bounds violated", "exit_ok",
+                 id="args2-solve: certified bounds violated-exit_ok"),
 ])
 def test_failed_check_exits_1_and_records_the_verdict(tmp_path, capsys, args, message, verdict):
     assert run_cli([*args, "--check", "--out", str(tmp_path)]) == 1
@@ -1200,6 +1246,7 @@ def test_failed_check_exits_1_and_records_the_verdict(tmp_path, capsys, args, me
 @pytest.mark.parametrize("args", [
     ["solve", "--n", "16", "--trials", "32"],
     ["baseline", "--trials", "10"],
+    ["baseline", "--n", "8", "--m", "64", "--trials", "2"],
 ])
 def test_check_verdicts_do_not_depend_on_the_scale(tmp_path, args):
     runs = {}

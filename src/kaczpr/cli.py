@@ -240,6 +240,7 @@ _RUN_RULES = (
     ("verify truncated-moment", lambda c: 0.0 < c.lam <= 0.4,
      "{lam} must be in (0, 0.4] for {run}"),
     ("verify F", lambda c: -1.0 < c.sigma < 1.0, "{sigma} must lie in (-1, 1) for {run}"),
+    ("rsc-scan", lambda c: c.ball_radius > 0.0, "{ball_radius} must be in (0, 1] for {run}"),
     ("verify covariance", lambda c: c.m >= c.n,
      "{m} must be at least {n} for {run}, got {m} {cfg.m} and {n} {cfg.n}"),
     # the exit bound holds for starts within 0.01 * delta, to a few ulps (0.7, 0.007)
@@ -563,6 +564,9 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # a rerun that fails leaves no verdict of the run before
+    for path in (out / "rsc_scan.csv", out / "rsc_scan.json"):
+        path.unlink(missing_ok=True)
     stream = RngStream(cfg.seed, 0)
     ensemble, x = _draw(cfg, stream)
     gen = stream.substream(TAG_SCAN).generator()
@@ -573,7 +577,10 @@ def cmd_rsc_scan(cfg: ExperimentConfig) -> int:
         # the structured three sit on the ball, the random ones inside it
         radius = cfg.ball_radius if s < 3 else cfg.ball_radius * (0.1 + 0.9 * gen.random())
         z = x + radius * xnorm * direction
-        sample = analysis.rsc_margin(ensemble, x, z)
+        try:
+            sample = analysis.rsc_margin(ensemble, x, z)
+        except ValueError as exc:
+            raise ValueError(f"rsc-scan sample {s} at radius {radius!r}: {exc}") from exc
         values[:, s] = sample.h_norm, sample.f_value, sample.directional, sample.margin_gamma
     write_csv(out / "rsc_scan.csv", "sample_id,h_norm,f,D,gamma_hat", values)
     min_gamma = min(values[3].tolist(), default=None)  # a NaN wins only as the first sample
@@ -624,11 +631,11 @@ def _verify_reports(cfg: ExperimentConfig) -> list:
 
 
 def cmd_verify(cfg: ExperimentConfig) -> int:
+    out = Path(cfg.out_dir) if cfg.out_dir else None
+    if out is not None:  # made first, so that an unusable --out fails before the estimate
+        out.mkdir(parents=True, exist_ok=True)
     reports = _verify_reports(cfg)
     stamp = {"seed": cfg.seed, "generator": GENERATOR_ID, "config_hash": config_hash(cfg)}
-    out = Path(cfg.out_dir) if cfg.out_dir else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
     # verify G scores one estimate against two ceilings, closed then loose,
     # and both reports are named G
     stems = ["G", "G_loose"] if cfg.lemma == "G" else [r.name for r in reports]

@@ -80,9 +80,7 @@ class RngStream:
 
 
 # Complex normals drawn and transformed per slice, so that their uniforms
-# stay in cache instead of forming whole-length arrays.  A multiple of 4,
-# so that verify's full-mode products keep the whole-batch bits (see
-# geometry._row_blocks).
+# stay in cache instead of forming whole-length arrays.
 _SLICE = 1 << 12
 # 64-bit words in one Philox block: the output of one counter value
 _BLOCK_WORDS = 4

@@ -11,8 +11,8 @@ overlap sigma = h^* x, to two complex Gaussian coordinates:
 
     h = e1,   x = sigma e1 + sqrt(1 - sigma^2) e^{i phi} e2,
 
-with phi arbitrary (randomized per sample here).  A full n-dimensional mode
-cross-validates that reduction.
+with phi arbitrary (randomized per sample here).  The tests cross-validate
+that reduction against a full n-dimensional estimate.
 
     F(lam, sigma) = E[ Re^2(h^* xi xi^* x) / |xi^* x|^2 ; lam |xi^* x| >= |xi^* h| ]
     G(lam, sigma) = E[ |xi^* h|^2 ; |xi^* x| <= lam |xi^* h| ]
@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
-from .initializers import _scan_directions, real_overlap_direction
+from .initializers import _scan_directions
 from .rng import _SLICE, RngStream, _draw_normals, _positioned
 from .sampling import Model, _unit_draw, make_ensemble
 
@@ -167,7 +167,7 @@ def _integrand(kind: str, lam: float, xs_x: np.ndarray, xs_h: np.ndarray) -> np.
     return abs_h**2 * (np.abs(xs_x) <= lam * abs_h)
 
 
-def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mode: str, dim: int):
+def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str):
     """Streaming mean/variance of the F or G integrand.
 
     Each batch of up to _BATCH samples is cut into _SLICE-sample slices,
@@ -176,51 +176,27 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
     Philox positions through ``rng._draw_normals``, into its own slice
     buffers, so no whole-batch draw exists, and the batch's values and
     their in-order sums keep the bits of drawing the batch serially.  A
-    batch's stream holds, chunk words each, xi1's u1 and u2, xi2's u1 and
-    u2 and the phase uniforms in reduced mode, and u1 and u2 of the
-    chunk x dim entries in full mode.
+    batch's stream holds five consecutive draws of chunk words each: xi1's
+    u1 and u2, xi2's u1 and u2, and the phase uniforms.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
-    if mode not in ("reduced", "full"):
-        raise ValueError("mode must be 'reduced' or 'full'")
     gen = rng.generator()
     lam, sigma, tau = params.lam, params.sigma, params.tau
-    if mode == "full":
-        if dim < 2:
-            raise ValueError("full mode needs dimension at least 2")
-        x = _unit_draw(dim, gen)
-        h = real_overlap_direction(x, gen)
-        # steer the overlap to the requested sigma within the real slice
-        overlap = float(np.vdot(x, h).real)
-        perp = h - overlap * x
-        pnorm = np.linalg.norm(perp)
-        if pnorm == 0.0:
-            raise ValueError("degenerate direction draw; try another stream")
-        h = sigma * x + tau * perp / pnorm
-    # words per sample in each of a batch's consecutive draws, and their count
-    per, draws = (1, 5) if mode == "reduced" else (dim, 2)
 
     def run_slices(state: dict, chunk: int, vals: np.ndarray, blocks: list) -> None:
-        gens = [_positioned(state, (k * chunk + blocks[0][0]) * per) for k in range(draws)]
-        size = max(hi - lo for lo, hi in blocks) * per
+        gens = [_positioned(state, k * chunk + blocks[0][0]) for k in range(5)]
+        size = max(hi - lo for lo, hi in blocks)
         radius, phase = np.empty(size), np.empty(size)
-        xi1 = np.empty(size, dtype=np.complex128)
-        xi2 = np.empty(size, dtype=np.complex128) if mode == "reduced" else None
+        xi1, xi2 = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
         for lo, hi in blocks:
-            width = (hi - lo) * per
-            if mode == "reduced":
-                a, b = xi1[:width], xi2[:width]
-                _draw_normals(gens[0], gens[1], a, radius[:width], phase[:width])
-                _draw_normals(gens[2], gens[3], b, radius[:width], phase[:width])
-                phi = 2.0 * np.pi * gens[4].random(out=phase[:width])
-                xs_x = sigma * a.conj() + tau * np.exp(1j * phi) * b.conj()  # xi^* x
-                xs_h = np.conjugate(a, out=b)  # xi^* h = a^*, in the buffer b is done with
-            else:
-                _draw_normals(gens[0], gens[1], xi1[:width], radius[:width], phase[:width])
-                rows = xi1[:width].reshape(hi - lo, dim).conj()
-                xs_x = rows @ x
-                xs_h = rows @ h
+            width = hi - lo
+            a, b = xi1[:width], xi2[:width]
+            _draw_normals(gens[0], gens[1], a, radius[:width], phase[:width])
+            _draw_normals(gens[2], gens[3], b, radius[:width], phase[:width])
+            phi = 2.0 * np.pi * gens[4].random(out=phase[:width])
+            xs_x = sigma * a.conj() + tau * np.exp(1j * phi) * b.conj()  # xi^* x
+            xs_h = np.conjugate(a, out=b)  # xi^* h = a^*, in the buffer b is done with
             vals[lo:hi] = _integrand(kind, lam, xs_x, xs_h)
 
     cores = min(_usable_cores(), _MAX_WORKERS)
@@ -240,7 +216,7 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
         total += float(vals.sum())
         np.multiply(vals, vals, out=vals)
         total_sq += float(vals.sum())
-        state = _positioned(state, draws * per * chunk).bit_generator.state
+        state = _positioned(state, 5 * chunk).bit_generator.state
         left -= chunk
     mean = total / samples
     var = max(0.0, total_sq / samples - mean**2)
@@ -248,49 +224,30 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str, mod
     return mean, se
 
 
-def mc_F(
-    params: LemmaParams,
-    samples: int,
-    rng: RngStream,
-    mode: str = "reduced",
-    dim: int = 8,
-) -> LemmaReport:
+def mc_F(params: LemmaParams, samples: int, rng: RngStream) -> LemmaReport:
     """Monte Carlo estimate of F against its lower bound 3/8 - 1/(lam+1)^2."""
     if params.lam < 2.95:
         raise ValueError("F bound requires lam >= 2.95")
-    est, se = _mc_scalar(params, samples, rng, "F", mode, dim)
+    est, se = _mc_scalar(params, samples, rng, "F")
     return _report("F", est, se, lower_bound_f(params.lam), Direction.AT_LEAST, samples)
 
 
-def mc_G_reports(
-    params: LemmaParams,
-    samples: int,
-    rng: RngStream,
-    mode: str = "reduced",
-    dim: int = 8,
-) -> list[LemmaReport]:
+def mc_G_reports(params: LemmaParams, samples: int, rng: RngStream) -> list[LemmaReport]:
     """One Monte Carlo estimate of G, scored against the closed and the loose ceiling.
 
-    The two reports equal ``mc_G(params, samples, rng, mode, dim, bound)``
-    for ``bound='closed'`` and ``'loose'``, at the cost of a single estimate.
+    The two reports equal ``mc_G(params, samples, rng, bound)`` for
+    ``bound='closed'`` and ``'loose'``, at the cost of a single estimate.
     """
     if not 0.0 <= params.lam <= 0.4:
         raise ValueError("G regime requires 0 <= lam <= 0.4")
-    est, se = _mc_scalar(params, samples, rng, "G", mode, dim)
+    est, se = _mc_scalar(params, samples, rng, "G")
     return [
         _report("G", est, se, ceiling(params.lam), Direction.AT_MOST, samples)
         for ceiling in (closed_form_g, loose_bound_g)
     ]
 
 
-def mc_G(
-    params: LemmaParams,
-    samples: int,
-    rng: RngStream,
-    mode: str = "reduced",
-    dim: int = 8,
-    bound: str = "closed",
-) -> LemmaReport:
+def mc_G(params: LemmaParams, samples: int, rng: RngStream, bound: str = "closed") -> LemmaReport:
     """Monte Carlo estimate of G against its ceiling.
 
     ``bound='closed'`` compares with lam^2(lam^2+2)/(lam^2+1)^2 (valid for
@@ -298,7 +255,7 @@ def mc_G(
     """
     if bound not in ("closed", "loose"):
         raise ValueError("bound must be 'closed' or 'loose'")
-    closed, loose = mc_G_reports(params, samples, rng, mode, dim)
+    closed, loose = mc_G_reports(params, samples, rng)
     return loose if bound == "loose" else closed
 
 

@@ -366,6 +366,16 @@ def test_a_rerun_into_a_used_out_keeps_only_its_own_artifacts(tmp_path, monkeypa
     assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "trace_notes.csv"]
 
 
+def test_a_failed_rsc_scan_rerun_names_the_sample_and_leaves_no_verdict(tmp_path, capsys):
+    out = tmp_path / "scan"
+    run = ["rsc-scan", "--n", "8", "--m", "64", "--samples", "5", "--out", str(out)]
+    assert run_cli(run) == 0
+    # z = x + 1e-17 ||x|| v rounds onto x
+    assert run_cli([*run, "--ball", "1e-17"]) == 2
+    assert "sample 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_rsc_scan_at_the_largest_scale_warns_nothing(tmp_path, capsys):
     out = tmp_path / "scan"
     with warnings.catch_warnings():
@@ -818,6 +828,19 @@ def test_nonpositive_m_is_rejected_from_every_source(tmp_path, capsys, source, k
     assert not (tmp_path / "out").exists()
 
 
+def test_verify_makes_out_before_it_estimates(tmp_path, monkeypatch, capsys):
+    import kaczpr.verify as verify
+
+    def never(*args):
+        raise AssertionError("estimated before --out was made")
+
+    monkeypatch.setattr(verify, "_mc_scalar", never)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    assert run_cli(["verify", "F", "--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+
+
 def test_verify_g_runs_one_estimate_for_both_ceilings(monkeypatch, capsys):
     import kaczpr.verify as verify
     from kaczpr import LemmaParams, RngStream, mc_G
@@ -1214,6 +1237,9 @@ def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc
                  id="args20-env20-doc20---lambda"),
     pytest.param(["verify", "truncated-moment", "--lambda", "0"], {}, "--lambda",
                  id="args21-env21-doc21---lambda"),
+    # at radius 0 every sample's z lies on the solution circle
+    pytest.param(["rsc-scan", "--n", "2", "--m", "4", "--samples", "5", "--ball", "0"], {},
+                 "--ball", id="args22-env22-doc22---ball"),
 ])
 def test_out_of_range_values_name_the_flag(tmp_path, capsys, args, doc, flag):
     if doc:
@@ -1241,6 +1267,17 @@ def test_failed_check_exits_1_and_records_the_verdict(tmp_path, capsys, args, me
     assert run_cli([*args, "--check", "--out", str(tmp_path)]) == 1
     assert capsys.readouterr().err.endswith(message + "\n")
     assert read_json(tmp_path / "summary.json")["checks"][verdict] is False
+
+
+def test_rate_ok_fails_where_the_sampling_premise_fails(tmp_path):
+    # the certified planted start; at m = 2n the measurements are too few for
+    # the 1 - 0.03/n contraction (a max ratio near 0.9999 against 0.99906)
+    run = ["solve", "--n", "32", "--trials", "32", "--seed", "7", "--serial", "--check"]
+    assert run_cli([*run, "--m-over-n", "8", "--out", str(tmp_path / "8")]) == 0
+    assert run_cli([*run, "--m-over-n", "2", "--out", str(tmp_path / "2")]) == 1
+    checks = read_json(tmp_path / "2" / "summary.json")["checks"]
+    assert checks["rate_ok"] is False
+    assert checks["exit_ok"] is True
 
 
 @pytest.mark.parametrize("args", [
@@ -1341,7 +1378,7 @@ _RANGES = [
      st.floats(_TINY, 1.0)),
     ("planted_radius", "--radius", "baseline --init planted", _floats_outside(0.0, _INF),
      st.floats(0.0, allow_infinity=False)),
-    ("ball_radius", "--ball", "rsc-scan", _floats_outside(0.0, 1.0), st.floats(0.0, 1.0)),
+    ("ball_radius", "--ball", "solve", _floats_outside(0.0, 1.0), st.floats(0.0, 1.0)),
     ("scale", "--scale", "solve", _floats_outside(1e-150, 1e150), st.floats(1e-150, 1e150)),
     ("lam", "--lambda", "verify F", st.sampled_from([_NAN, _INF, -_INF]),
      st.floats(2.95, allow_infinity=False)),

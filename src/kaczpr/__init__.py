@@ -19,7 +19,7 @@ _MODULES = {
                      "spectral_init"),
     "kaczmarz": ("SolverConfig", "SolverTrace", "linear_step", "pr_step", "run_linear", "run_pr",
                  "select_rows"),
-    "rng": ("GENERATOR_ID", "RngStream", "complex_standard_normal"),
+    "rng": ("RngStream", "complex_standard_normal"),
     "sampling": ("Ensemble", "Measurements", "Model", "make_ensemble", "measure",
                  "sample_complex_gaussian", "sample_unit_sphere"),
     "verify": ("Direction", "LemmaParams", "check_covariance", "check_restricted_ratio",

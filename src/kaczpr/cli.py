@@ -4,7 +4,7 @@ Subcommands: solve | rsc-scan | verify | baseline.  Every run is a pure
 function of its resolved configuration; all randomness flows from --seed
 through per-trial streams (stream_id = trial index) and purpose substreams.
 Value precedence is CLI flag > --config JSON > _OPTIONS.  A run (a
-command, verify and a lemma, or a solver and its --init) rejects a flag or
+command, verify and a lemma, or solve and its --init) rejects a flag or
 config key that its rows of _OPTIONS do not name.  Serial and threaded runs
 give identical bytes: workers are deterministic per trial and aggregation is
 in trial order.
@@ -163,7 +163,7 @@ class _Option(NamedTuple):
     key: str  # the ExperimentConfig field and the config key
     kind: type  # int, float, bool or str
     flag: str
-    runs: tuple  # the runs that read the key; "solve --init planted" names a run and its start
+    runs: tuple  # the runs that read the key; "solve --init planted" names solve with its start
     default: object  # or {run or command: value, None: every other run's}; None derives it
     valid: tuple | None = None  # a (test, text) pair; every test fails on NaN
     choices: tuple | dict = ()  # the allowed strings, or {command: strings}
@@ -207,10 +207,11 @@ _OPTIONS = (
     _Option("model", str, "--model", _DRAWN, "sphere", choices=tuple(m.value for m in Model)),
     # squared distances up to (2 * scale)^2 must stay representable
     _Option("scale", float, "--scale", _DRAWN, 1.0, _within(MIN_SCALE, MAX_SCALE)),
-    _Option("init", str, "--init", _SOLVERS, {None: "planted", "baseline": "zero"},
-            choices={"solve": ("planted", "spectral"), "baseline": ("zero", "planted")}),
-    _Option("planted_radius", float, "--radius",
-            ("solve --init planted", "baseline --init planted"), {None: 0.0, "solve": 0.005},
+    # baseline takes no --init: its one choice pins the zero start that _trial gives it
+    _Option("init", str, "--init", ("solve",), {None: "planted", "baseline": "zero"},
+            choices={"solve": ("planted", "spectral"), "baseline": ("zero",)}),
+    _Option("planted_radius", float, "--radius", ("solve --init planted",),
+            {None: 0.0, "solve": 0.005},
             (lambda v: 0.0 <= v < math.inf, "be finite and at least 0")),
     _Option("lam", float, "--lambda", (*_SCALARS, *_SCANS),
             {None: 3.0, "verify G": 0.4, "verify truncated-moment": 0.4},
@@ -693,7 +694,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def resolve_config(command: str, cli_values: dict, config_path: str | None) -> ExperimentConfig:
     """The config of one run: each key it takes from its flag, else its
     config key, else _OPTIONS; other keys at their default.  init comes
-    first: solve and baseline also take the rows of their start.  A flag or
+    first: solve also takes the rows of its start.  A flag or
     config key the run does not take raises.  m and max_iters are derived
     from n."""
     lemma = cli_values.get("lemma") or ""

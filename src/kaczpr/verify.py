@@ -99,7 +99,7 @@ class LemmaParams:
     delta: float = 0.001
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         if not -1.0 <= self.sigma <= 1.0:
             raise ValueError("sigma must lie in [-1, 1]")
@@ -226,7 +226,7 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str):
 
 def mc_F(params: LemmaParams, samples: int, rng: RngStream) -> LemmaReport:
     """Monte Carlo estimate of F against its lower bound 3/8 - 1/(lam+1)^2."""
-    if params.lam < 2.95:
+    if not params.lam >= 2.95:
         raise ValueError("F bound requires lam >= 2.95")
     est, se = _mc_scalar(params, samples, rng, "F")
     return _report("F", est, se, lower_bound_f(params.lam), Direction.AT_LEAST, samples)
@@ -383,7 +383,7 @@ def check_restricted_ratio(
 
     and reports the minimum against (3/8 - 1/(1+0.99 lam)^2 - delta)/n.
     """
-    if params.lam < 3.0:
+    if not params.lam >= 3.0:
         raise ValueError("restricted ratio regime requires lam >= 3")
     Q, H = _scan_products(n, m, h_samples, rng)
     sums = _integrand("F", params.lam, Q[:, None], H).mean(axis=0)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pickle
 import re
@@ -8,7 +9,9 @@ import string
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,20 +280,21 @@ def test_verify_scan_subcommands(capsys):
     capsys.readouterr()
 
 
-def test_baseline_artifacts_and_planted_zero(tmp_path):
+def test_baseline_artifacts_and_no_planted_start(tmp_path, capsys):
     out = tmp_path / "base"
     rc = run_cli(["baseline", "--n", "12", "--m", "96", "--trials", "2", "--max-iters", "30",
                   "--seed", "2", "--out", str(out)])
     assert rc == 0
     summary = read_json(out / "summary.json")
     assert summary["final_median_dist"] < 1.0
+    assert summary["config"]["init"] == "zero"
 
+    # baseline starts at zero: it reads neither a start nor a radius
     flat = tmp_path / "flat"
-    rc = run_cli(["baseline", "--n", "12", "--m", "96", "--trials", "1", "--max-iters", "30",
-                  "--init", "planted", "--radius", "0", "--seed", "2", "--out", str(flat)])
-    assert rc == 0
-    rows = np.genfromtxt(flat / "trace_0000.csv", delimiter=",", names=True)
-    assert np.all(rows["dist"][:-1] <= 1e-12)
+    for flag, value in (("--init", "zero"), ("--radius", "0")):
+        assert run_cli(["baseline", flag, value, "--out", str(flat)]) == 2
+        assert f"kaczpr: {flag} is not an option of baseline\n" in capsys.readouterr().err
+        assert not flat.exists()
 
 
 def test_solve_check_passes_at_scale(tmp_path):
@@ -920,6 +924,46 @@ def test_verify_covariance_with_m_below_n_names_both_flags(capsys, monkeypatch):
     resolve_config("verify", {"lemma": "covariance", "n": 16, "m": 16}, None)
 
 
+# each lemma's run at one sample, trial or direction
+_LEMMA_TOY = {"F": {"samples": 1}, "G": {"samples": 1},
+              "covariance": {"n": 4, "m": 16, "trials": 1},
+              "restricted-ratio": {"n": 4, "m": 16, "h_samples": 1},
+              "truncated-moment": {"n": 4, "m": 16, "h_samples": 1}}
+# the edges of each lemma's domain, stated apart from the CLI's and the library's checks
+_LEMMA_EDGES = [("F", "lam", 2.95), ("F", "sigma", -1.0), ("F", "sigma", 1.0),
+                ("G", "lam", 0.0), ("G", "lam", 0.4), ("restricted-ratio", "lam", 3.0),
+                ("truncated-moment", "lam", 0.0), ("truncated-moment", "lam", 0.4),
+                ("covariance", "delta", 0.0), ("covariance", "delta", 1.0)]
+_LEMMA_VALUES = [
+    *((lemma, key, value) for lemma, key, edge in _LEMMA_EDGES
+      for value in (math.nextafter(edge, -math.inf), edge, math.nextafter(edge, math.inf))),
+    *((lemma, key, math.nan) for lemma, key in dict.fromkeys(edge[:2] for edge in _LEMMA_EDGES)),
+    ("covariance", "m", 3), ("covariance", "m", 4),  # m = n - 1 and m = n
+]
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("lemma, key, value", _LEMMA_VALUES)
+def test_the_cli_and_the_library_accept_the_same_lemma_values(lemma, key, value):
+    from kaczpr.cli import _verify_reports
+
+    values = {"lemma": lemma, **_LEMMA_TOY[lemma]}
+    cli = _accepts(lambda: resolve_config("verify", {**values, key: value}, None))
+    # the library calls that the CLI makes, with the value past the CLI's checks
+    unchecked = SimpleNamespace(**{**asdict(resolve_config("verify", values, None)), key: value})
+    library = _accepts(lambda: _verify_reports(unchecked))
+    assert cli == library
+    if math.isnan(value):
+        assert not library
+
+
 def test_verify_f_near_unit_sigma_agrees_with_the_series(capsys):
     # a series cut off at 250 terms read 0.9508 here, against 0.98996
     args = ["verify", "F", "--lambda", "3", "--sigma", "0.99", "--samples", "100000", "--seed", "7"]
@@ -1041,13 +1085,12 @@ def test_valid_configs_keep_their_hash(tmp_path, command, cli, doc, digest):
 # the keys each run takes besides seed and out_dir, stated apart from the CLI's table
 _SOLVE_KEYS = {"threads", "serial", "n", "m", "m_over_n", "trials", "max_iters", "delta", "model",
                "scale", "init", "ball_radius", "check"}
-_BASELINE_KEYS = _SOLVE_KEYS - {"delta", "ball_radius"}
+_BASELINE_KEYS = _SOLVE_KEYS - {"delta", "ball_radius", "init"}
 _LEMMA_SCAN_KEYS = {"n", "m", "m_over_n", "lam", "delta", "h_samples"}
 _TAKES = {
     "solve": _SOLVE_KEYS | {"planted_radius", "allow_radius_override"},
     "solve --init spectral": _SOLVE_KEYS,
     "baseline": _BASELINE_KEYS,
-    "baseline --init planted": _BASELINE_KEYS | {"planted_radius"},
     "rsc-scan": {"n", "m", "m_over_n", "model", "scale", "samples", "ball_radius"},
     "verify F": {"lam", "sigma", "samples"},
     "verify G": {"lam", "sigma", "samples"},
@@ -1063,10 +1106,9 @@ _TAKEN_VALUES = {
     "init": "spectral", "planted_radius": 0.001, "lam": 3.5, "sigma": 0.25, "samples": 20,
     "ball_radius": 0.5, "h_samples": 3, "check": True, "allow_radius_override": True,
 }
-_RUN_VALUES = {("baseline", "init"): "planted", ("verify G", "lam"): 0.2,
-               ("verify truncated-moment", "lam"): 0.2}
-# a run of solve or baseline is named with its start, the default one where none is given
-_STARTS = {"solve": "solve --init planted", "baseline": "baseline --init zero"}
+_RUN_VALUES = {("verify G", "lam"): 0.2, ("verify truncated-moment", "lam"): 0.2}
+# a run of solve is named with its start, the default one where none is given
+_STARTS = {"solve": "solve --init planted"}
 
 
 def _resolve_run(args, config=None):
@@ -1086,7 +1128,7 @@ def test_each_run_takes_the_options_of_its_row():
     assert taken == {run: keys | {"seed", "out_dir"} for run, keys in _TAKES.items()}
     assert {run for opt in _OPTIONS for run in opt.runs} <= set().union(*named.values())
     # settable (run, option) pairs, from a flag or a config file alike
-    assert sum(len(keys) for keys in taken.values()) == 101
+    assert sum(len(keys) for keys in taken.values()) == 86
 
 
 def test_every_run_resolves_at_its_defaults():
@@ -1203,7 +1245,7 @@ def test_config_keys_the_run_does_not_read_exit_2(tmp_path, capsys, command, doc
 # source must exit 2 and name its flag before anything is written.
 @pytest.mark.parametrize("args, doc, flag", [
     pytest.param(["solve"], {"init": "zero"}, "--init", id="args0-env0-doc0---init"),
-    pytest.param(["baseline"], {"init": "spectral"}, "--init", id="args1-env1-doc1---init"),
+    pytest.param(["baseline", "--init", "planted"], {}, "--init", id="args1-env1-doc1---init"),
     pytest.param(["solve"], {"planted_radius": float("nan")}, "--radius",
                  id="args2-env2-doc2---radius"),
     pytest.param(["solve", "--ball", "nan"], {}, "--ball", id="args3-env3-doc3---ball"),
@@ -1376,8 +1418,9 @@ _RANGES = [
     ("delta", "--delta", "verify covariance",
      st.just(_NAN) | st.floats(max_value=0.0) | st.floats(min_value=1.0, exclude_min=True),
      st.floats(_TINY, 1.0)),
-    ("planted_radius", "--radius", "baseline --init planted", _floats_outside(0.0, _INF),
-     st.floats(0.0, allow_infinity=False)),
+    # the override lifts solve's ceiling of 0.01 * delta, leaving the option's own range
+    ("planted_radius", "--radius", "solve --init planted --allow-radius-override",
+     _floats_outside(0.0, _INF), st.floats(0.0, allow_infinity=False)),
     ("ball_radius", "--ball", "solve", _floats_outside(0.0, 1.0), st.floats(0.0, 1.0)),
     ("scale", "--scale", "solve", _floats_outside(1e-150, 1e150), st.floats(1e-150, 1e150)),
     ("lam", "--lambda", "verify F", st.sampled_from([_NAN, _INF, -_INF]),
@@ -1388,8 +1431,6 @@ _RANGES = [
      st.sampled_from(["sphere", "gaussian"])),
     ("init", "--init", "solve", _WORDS.filter(lambda w: w not in ("planted", "spectral")),
      st.sampled_from(["planted", "spectral"])),
-    ("init", "--init", "baseline", _WORDS.filter(lambda w: w not in ("zero", "planted")),
-     st.sampled_from(["zero", "planted"])),
 ]
 _RANGE_IDS = [f"{flag}-{run.split()[0]}" for _, flag, run, _, _ in _RANGES]
 

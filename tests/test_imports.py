@@ -1,8 +1,10 @@
 """What importing the package loads, and the names its root resolves."""
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,8 @@ import pytest
 
 import kaczpr
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 # what a run that takes no pool and checks no lemma never needs; numpy.ma
 # came with np.median
 UNUSED = ("concurrent.futures.process", "multiprocessing", "kaczpr.verify", "numpy.ma")
@@ -72,7 +75,7 @@ def test_only_rsc_scan_loads_the_margin_analysis(tmp_path):
 
 
 def test_every_public_name_resolves_from_the_package_root():
-    assert len(kaczpr.__all__) == len(set(kaczpr.__all__)) == 44
+    assert len(kaczpr.__all__) == len(set(kaczpr.__all__)) == 43
     for name in kaczpr.__all__:
         module = importlib.import_module(f"kaczpr.{kaczpr._HOME[name]}")
         assert getattr(kaczpr, name) is getattr(module, name)
@@ -87,3 +90,24 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         kaczpr.no_such_name  # noqa: B018
     assert not hasattr(kaczpr, "ProcessPoolExecutor")
+
+
+def _root_names(source: str) -> set:
+    """The names that `source` imports from the package root or reads as `kaczpr.<name>`."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "kaczpr" and node.level == 0:
+            names.update(alias.name for alias in node.names)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "kaczpr"):
+            names.add(node.attr)
+    return names
+
+
+def test_every_root_name_has_a_caller():
+    sources = [path.read_text() for path in (
+        *sorted((ROOT / "tests").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
+        *(ROOT / "benchmarks" / f"{name}.py" for name in ("replay", "sweep", "child")))]
+    sources += re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    used = set().union(*map(_root_names, sources))
+    assert set(kaczpr.__all__) - used == set()

@@ -32,21 +32,3 @@ def test_convergence_script_runs_both_experiments(tmp_path, capsys):
     assert (tmp_path / "solve" / "aggregate.csv").is_file()
     assert (tmp_path / "baseline" / "aggregate.csv").is_file()
 
-
-def test_rsc_scan_script_stops_on_a_rejected_config(tmp_path, capsys):
-    run = _script("run_rsc_scan.py")
-    fresh, used = tmp_path / "fresh", tmp_path / "used"
-    assert run(["--n", "8", "--samples", "5", "--out", str(used)]) == 0
-    assert "-> ok" in capsys.readouterr().out
-    for out in (fresh, used):  # nothing to read, or an earlier run's report
-        assert run(["--n", "8", "--samples", "-1", "--out", str(out)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--samples" in captured.err
-    assert not fresh.exists()
-
-
-def test_rsc_scan_script_reports_an_empty_scan(tmp_path, capsys):
-    run = _script("run_rsc_scan.py")
-    assert run(["--n", "8", "--samples", "0", "--out", str(tmp_path)]) == 0
-    assert "min gamma_hat none over 0 samples" in capsys.readouterr().out

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def test_mc_f_domain():
         mc_F(LemmaParams(lam=2.0), 100, RngStream(1, 0))
 
 
+def _nan_lambda_params(sigma=0.0):
+    """LemmaParams' fields at lam = NaN, without its own check, which rejects
+    NaN first; so an entry point's own check is the one tested."""
+    return SimpleNamespace(lam=math.nan, sigma=sigma, delta=0.5, tau=math.sqrt(1.0 - sigma**2))
+
+
+def test_mc_f_rejects_a_nan_lambda():
+    with pytest.raises(ValueError, match="lam >= 2.95"):
+        mc_F(_nan_lambda_params(0.5), 1000, RngStream(1, 0))
+
+
 def test_mc_g_zero_lambda_empty_event():
     report = mc_G(LemmaParams(lam=0.0), 10**4, RngStream(203, 0))
     assert report.estimate == 0.0
@@ -280,6 +292,11 @@ def test_check_restricted_ratio_domain():
         check_restricted_ratio(8, 64, LemmaParams(lam=2.0), 10, RngStream(1, 0))
 
 
+def test_check_restricted_ratio_rejects_a_nan_lambda():
+    with pytest.raises(ValueError, match="lam >= 3"):
+        check_restricted_ratio(4, 32, _nan_lambda_params(), 3, RngStream(1, 0))
+
+
 def test_check_truncated_moment_bound_holds():
     params = LemmaParams(lam=0.4, delta=0.1)
     report = check_truncated_moment(32, 64 * 32, params, 500, RngStream(214, 0))
@@ -342,6 +359,11 @@ def test_lemma_params_validation_and_tau():
         LemmaParams(lam=3.0, delta=0.0)
     params = LemmaParams(lam=3.0, sigma=0.6)
     assert params.tau == pytest.approx(0.8)
+
+
+def test_lemma_params_rejects_a_nan_lambda():
+    with pytest.raises(ValueError, match="lam must be nonnegative"):
+        LemmaParams(lam=math.nan)
 
 
 def _ref_mc_scalar(params, samples, rng, kind, mode, dim):

@@ -30,7 +30,10 @@ and gives the bits that drawing the whole stream in order gives.  The
 contract above does not change: code that reads slices this way, such as
 ``complex_standard_normal`` reading u2 beside u1 or the Monte Carlo checks
 spreading a batch over threads, reproduces the serial stream word for word.
-Every complex normal is drawn by one routine, ``_draw_normals``.
+Every complex normal is drawn by one routine, ``_draw_normals``, and every
+Box-Muller radius sqrt(-log(1 - u1)) by ``_radius``, which ``_draw_normals``
+calls and the Monte Carlo checks call alone: their integrands need only the
+radii and one relative phase of the normals they would draw.
 """
 
 from __future__ import annotations
@@ -106,18 +109,28 @@ def _positioned(state: dict, words: int) -> np.random.Generator:
     return np.random.Generator(bitgen)
 
 
+def _radius(u1, out: np.ndarray) -> None:
+    """len(out) Box-Muller radii sqrt(-log(1 - u1)) into `out`, from as many uniforms of u1.
+
+    u1 is a generator; the formula's ufuncs run in its order, in place.
+    """
+    u1.random(out=out)
+    np.negative(out, out=out)
+    np.log1p(out, out=out)
+    np.negative(out, out=out)
+    np.sqrt(out, out=out)
+
+
 def _draw_normals(u1, u2, out: np.ndarray, radius: np.ndarray, phase: np.ndarray) -> None:
     """len(out) complex normals into `out`, from as many uniforms of generator u1 and of u2.
 
-    The uniforms u1 go into the scratch array `radius` and u2 into `phase`,
-    both of len(out); then the formula's ufuncs in its order, in place.
+    The radii of u1 go into the scratch array `radius` (``_radius``) and the
+    uniforms u2 into `phase`, both of len(out); then the phase's ufuncs in
+    the formula's order, in place.  u1 is read before u2, which may be the
+    same generator.
     """
-    u1.random(out=radius)
+    _radius(u1, radius)
     u2.random(out=phase)
-    np.negative(radius, out=radius)
-    np.log1p(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
     out.real = 0.0
     np.multiply(2.0 * np.pi, phase, out=out.imag)
     np.exp(out, out=out)

@@ -11,8 +11,15 @@ overlap sigma = h^* x, to two complex Gaussian coordinates:
 
     h = e1,   x = sigma e1 + sqrt(1 - sigma^2) e^{i phi} e2,
 
-with phi arbitrary (randomized per sample here).  The tests cross-validate
-that reduction against a full n-dimensional estimate.
+with phi arbitrary.  Both integrands read only |xi^* x|, |xi^* h| and
+Re(conj(xi^* h) xi^* x), none of which moves when xi^* x and xi^* h turn by
+one phase; turned by the phase of xi1, xi^* h is the radius r1 of xi1 and
+
+    xi^* x = sigma r1 + sqrt(1 - sigma^2) r2 e^{i psi},
+
+with r2 the radius of xi2 and psi uniform on the circle, which is how the
+samples are drawn here (see ``_mc_scalar``).  The tests cross-validate the
+reduction against a full n-dimensional estimate.
 
     F(lam, sigma) = E[ Re^2(h^* xi xi^* x) / |xi^* x|^2 ; lam |xi^* x| >= |xi^* h| ]
     G(lam, sigma) = E[ |xi^* h|^2 ; |xi^* x| <= lam |xi^* h| ]
@@ -39,7 +46,7 @@ import numpy as np
 
 from .geometry import _adjoint_products, _row_blocks, _usable_cores
 from .initializers import _scan_directions
-from .rng import _SLICE, RngStream, _draw_normals, _positioned
+from .rng import _SLICE, RngStream, _positioned, _radius
 from .sampling import Model, _unit_draw, make_ensemble
 
 # A batch is cut into rng._SLICE-sample slices, each drawn and evaluated in
@@ -170,14 +177,27 @@ def _integrand(kind: str, lam: float, xs_x: np.ndarray, xs_h: np.ndarray) -> np.
 def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str):
     """Streaming mean/variance of the F or G integrand.
 
+    A batch's stream holds five consecutive draws of chunk words each:
+    xi1's u1 and u2, xi2's u1 and u2, and the phase uniforms u_phi, the
+    layout of drawing xi1 and xi2 as complex normals and a phase phi.  Each
+    sample is evaluated in the polar form of the module docstring: the
+    radii r1 and r2 come from the u1 draws (``rng._radius``) and the
+    products are
+
+        xi^* h = r1,   xi^* x = sigma r1 + tau r2 e^{i psi},
+        psi = 2 pi (u2(xi1) - u2(xi2) + u_phi),
+
+    which turns both complex products by the phase of xi1 and so leaves the
+    integrands as they were, at one complex exponential a sample instead of
+    three.  The estimates agree with those of the complex products to the
+    last bit or two.
+
     Each batch of up to _BATCH samples is cut into _SLICE-sample slices,
     and its contiguous runs of slices go to min(usable cores, slices,
-    _MAX_WORKERS) workers.  A worker draws each slice's normals at their own
-    Philox positions through ``rng._draw_normals``, into its own slice
-    buffers, so no whole-batch draw exists, and the batch's values and
-    their in-order sums keep the bits of drawing the batch serially.  A
-    batch's stream holds five consecutive draws of chunk words each: xi1's
-    u1 and u2, xi2's u1 and u2, and the phase uniforms.
+    _MAX_WORKERS) workers.  A worker reads each slice's uniforms at their
+    own Philox positions, into its own slice buffers, so no whole-batch
+    draw exists, and the batch's values and their in-order sums keep the
+    bits of drawing the batch serially.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
@@ -187,17 +207,23 @@ def _mc_scalar(params: LemmaParams, samples: int, rng: RngStream, kind: str):
     def run_slices(state: dict, chunk: int, vals: np.ndarray, blocks: list) -> None:
         gens = [_positioned(state, k * chunk + blocks[0][0]) for k in range(5)]
         size = max(hi - lo for lo, hi in blocks)
-        radius, phase = np.empty(size), np.empty(size)
-        xi1, xi2 = np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128)
+        r1, r2, turns, scratch = (np.empty(size) for _ in range(4))
+        z = np.empty(size, dtype=np.complex128)
         for lo, hi in blocks:
             width = hi - lo
-            a, b = xi1[:width], xi2[:width]
-            _draw_normals(gens[0], gens[1], a, radius[:width], phase[:width])
-            _draw_normals(gens[2], gens[3], b, radius[:width], phase[:width])
-            phi = 2.0 * np.pi * gens[4].random(out=phase[:width])
-            xs_x = sigma * a.conj() + tau * np.exp(1j * phi) * b.conj()  # xi^* x
-            xs_h = np.conjugate(a, out=b)  # xi^* h = a^*, in the buffer b is done with
-            vals[lo:hi] = _integrand(kind, lam, xs_x, xs_h)
+            a, b, t, s, xs_x = r1[:width], r2[:width], turns[:width], scratch[:width], z[:width]
+            _radius(gens[0], a)
+            gens[1].random(out=t)
+            _radius(gens[2], b)
+            np.subtract(t, gens[3].random(out=s), out=t)
+            np.add(t, gens[4].random(out=s), out=t)  # psi / (2 pi)
+            xs_x.real = 0.0
+            np.multiply(2.0 * np.pi, t, out=xs_x.imag)
+            np.exp(xs_x, out=xs_x)
+            np.multiply(tau, b, out=b)
+            np.multiply(xs_x, b, out=xs_x)
+            np.add(xs_x, np.multiply(sigma, a, out=s), out=xs_x)  # sigma r1 + tau r2 e^{i psi}
+            vals[lo:hi] = _integrand(kind, lam, xs_x, a)
 
     cores = min(_usable_cores(), _MAX_WORKERS)
     state = gen.bit_generator.state

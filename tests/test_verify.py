@@ -367,9 +367,11 @@ def test_lemma_params_rejects_a_nan_lambda():
 
 
 def _ref_mc_scalar(params, samples, rng, kind, mode, dim):
-    # the batch loop with every batch's arrays bound in the loop body, in
-    # the library's two-coordinate reduction (mode "reduced") or over a
-    # complex Gaussian xi in C^dim (mode "full"), which cross-validates it
+    # the batch loop with every batch's arrays bound in the loop body: in
+    # the library's polar form of the two-coordinate reduction (mode
+    # "reduced"), in the reduction's complex products xi1 and xi2 drawn from
+    # the same uniforms (mode "complex"), or over a complex Gaussian xi in
+    # C^dim (mode "full"), which cross-validates the reduction
     from kaczpr.initializers import real_overlap_direction
     from kaczpr.rng import complex_standard_normal
     from kaczpr.verify import _BATCH
@@ -389,6 +391,14 @@ def _ref_mc_scalar(params, samples, rng, kind, mode, dim):
     while left > 0:
         chunk = min(left, _BATCH)
         if mode == "reduced":
+            r1 = np.sqrt(-np.log1p(-gen.random(chunk)))
+            turn1 = gen.random(chunk)
+            r2 = np.sqrt(-np.log1p(-gen.random(chunk)))
+            turn2 = gen.random(chunk)
+            psi = 2.0 * np.pi * (turn1 - turn2 + gen.random(chunk))
+            xs_x = sigma * r1 + tau * r2 * np.exp(1j * psi)
+            hs_xi = xs_h = r1
+        elif mode == "complex":
             xi1 = complex_standard_normal(chunk, gen)
             xi2 = complex_standard_normal(chunk, gen)
             phi = 2.0 * np.pi * gen.random(chunk)
@@ -430,6 +440,48 @@ def test_mc_scalar_matches_reference_loop_bit_for_bit(monkeypatch, kind, lam, mo
         assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
 
 
+@pytest.mark.parametrize("kind, lam", [("F", 2.95), ("F", 3.0), ("F", 10.0),
+                                       ("G", 0.0), ("G", 0.2), ("G", 0.4)])
+@pytest.mark.parametrize("sigma", [-0.6, 0.0, 0.5, 0.99])
+def test_mc_scalar_matches_the_complex_products(monkeypatch, kind, lam, sigma):
+    import kaczpr.verify as verify
+
+    # the polar form rounds apart from the complex products it turns, so
+    # their estimates may differ in the last bits, never by 1e-12
+    monkeypatch.setattr(verify, "_BATCH", 1000)
+    monkeypatch.setattr(verify, "_SLICE", 64)  # the last slice of each batch is short
+    params = LemmaParams(lam=lam, sigma=sigma)
+    for samples in (3500, 1065):
+        got = verify._mc_scalar(params, samples, RngStream(210, 0), kind)
+        want = _ref_mc_scalar(params, samples, RngStream(210, 0), kind, "complex", 5)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * abs(w)
+
+
+@pytest.mark.parametrize("kind, lam", [("F", 3.0), ("F", 10.0), ("G", 0.2), ("G", 0.4)])
+def test_integrands_are_phase_invariant(kind, lam):
+    from kaczpr.verify import _integrand
+
+    gen = np.random.default_rng(211)
+    xs_x, xs_h = gen.standard_normal((2, 4000, 2)) @ np.array([1.0, 1.0j])
+    if kind == "F":
+        edge = lam * np.abs(xs_x) - np.abs(xs_h)
+    else:
+        edge = np.abs(xs_x) - lam * np.abs(xs_h)
+    keep = np.abs(edge) > 1e-6 * np.abs(xs_h)  # off the indicator's edge
+    xs_x = np.concatenate([xs_x[keep], np.zeros(8)])  # and at xi^* x = 0
+    xs_h = np.concatenate([xs_h[keep], xs_h[:8]])
+    want = _integrand(kind, lam, xs_x, xs_h)
+    turn = np.exp(1j * gen.uniform(0.0, 2.0 * np.pi, len(xs_x)))
+    to_real = xs_h.conj() / np.abs(xs_h)  # turns xi^* h onto |xi^* h|
+    # relative to |xi^* h|^2, which bounds both integrands
+    scale = np.abs(xs_h) ** 2
+    assert want[-8:].tolist() == ([0.0] * 8 if kind == "F" else scale[-8:].tolist())
+    for got in (_integrand(kind, lam, turn * xs_x, turn * xs_h),
+                _integrand(kind, lam, to_real * xs_x, np.abs(xs_h))):
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
 def test_mc_scalar_batch_peaks_below_3_mib(monkeypatch):
     import tracemalloc
 
@@ -462,22 +514,22 @@ def test_mc_scalar_peak_is_capped_on_many_cores(monkeypatch):
 
     monkeypatch.setattr(verify, "_usable_cores", lambda: 64)
     # every worker holds its slice buffers at once, as on a host with that
-    # many free cores: each waits at its first transform for all the others
-    run_jobs, draw_normals = verify._in_threads, verify._draw_normals
+    # many free cores: each waits at its first radius draw for all the others
+    run_jobs, radius = verify._in_threads, verify._radius
     meeting = {}
 
     def in_threads(work, jobs):
-        meeting.update(barrier=threading.Barrier(len(jobs)), met=set())
+        meeting.update(barrier=threading.Barrier(len(jobs)), met=set(), jobs=len(jobs))
         run_jobs(work, jobs)
 
-    def waiting_draw_normals(*args):
+    def waiting_radius(*args):
         if threading.get_ident() not in meeting["met"]:
             meeting["met"].add(threading.get_ident())
             meeting["barrier"].wait(timeout=60)
-        return draw_normals(*args)
+        return radius(*args)
 
     monkeypatch.setattr(verify, "_in_threads", in_threads)
-    monkeypatch.setattr(verify, "_draw_normals", waiting_draw_normals)
+    monkeypatch.setattr(verify, "_radius", waiting_radius)
     call = lambda: mc_F(LemmaParams(lam=3.0, sigma=0.6), 1 << 17, RngStream(208, 0))
     call()  # one-time allocations stay out of the measured call
     tracemalloc.start()
@@ -486,8 +538,10 @@ def test_mc_scalar_peak_is_capped_on_many_cores(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # below the whole-batch draws' 6.48 MiB: 3.0-4.8 MiB measured at 8
-    # workers, 7.6 MiB at 32 without the cap
+    # the capped number of workers all met at the barrier
+    assert meeting["jobs"] == len(meeting["met"]) == verify._MAX_WORKERS
+    # below the whole-batch draws' 6.48 MiB: 2.7-2.8 MiB measured at 8
+    # workers, 7.4-9.7 MiB at 32 without the cap
     assert peak < 6.48 * (1 << 20)
 
 
